@@ -3,8 +3,7 @@
    EXPERIMENTS.md for recorded paper-vs-measured results).
 
      dune exec bench/main.exe            -- run every experiment (series mode)
-     dune exec bench/main.exe -- f3 t4   -- run selected experiments
-     dune exec bench/main.exe -- bechamel -- Bechamel micro-benchmarks *)
+     dune exec bench/main.exe -- f3 t4   -- run selected experiments *)
 
 module Q = Moq_numeric.Rat
 module Qvec = Moq_geom.Vec.Qvec
@@ -839,6 +838,60 @@ let s1 () =
 (* audit matches (zero divergence)                                      *)
 (* ------------------------------------------------------------------ *)
 
+(* ------------------------------------------------------------------ *)
+(* Server-bench harness shared by s2, o1 and o2                        *)
+(* ------------------------------------------------------------------ *)
+
+(* A per-process scratch store directory, emptied if a run left it. *)
+let fresh_dir exp tag =
+  let d =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "moq_bench_%s_%s_%d" exp tag (Unix.getpid ()))
+  in
+  if Sys.file_exists d then
+    Array.iter (fun f -> Sys.remove (Filename.concat d f)) (Sys.readdir d);
+  d
+
+let rm_dir d =
+  if Sys.file_exists d then begin
+    Array.iter (fun f -> Sys.remove (Filename.concat d f)) (Sys.readdir d);
+    try Unix.rmdir d with Unix.Unix_error _ -> ()
+  end
+
+let wait_until exp ?(poll = 0.005) ?(deadline = 30.) what pred =
+  let t0 = Unix.gettimeofday () in
+  while (not (pred ())) && Unix.gettimeofday () -. t0 < deadline do
+    Thread.delay poll
+  done;
+  if not (pred ()) then failwith (Printf.sprintf "%s: timed out waiting for %s" exp what)
+
+(* Connect to an in-process server and say hello. *)
+let connect_hello exp what addr =
+  match SClient.connect ~timeout:15. addr with
+  | Ok c ->
+    (match SClient.hello c with
+     | Ok (Proto.R_hello _) -> c
+     | Ok _ | Error _ -> failwith (Printf.sprintf "%s: handshake failed: %s" exp what))
+  | Error e -> failwith (Printf.sprintf "%s %s: %s" exp what (SClient.error_to_string e))
+
+(* An overhead measurement: [run ~on rep] does one rep of [updates]
+   updates with the measured machinery off or on and returns its wall
+   time and extras.  One discarded warmup (page cache, allocator growth),
+   then the modes interleaved (off, on, off, on, ...) so slow drift in the
+   host's load hits both equally; per mode, all runs pool into one
+   throughput (total updates over total wall) — the max or median of a
+   handful of short runs is itself a noisy statistic.  Returns, for off
+   and for on, the pooled rps and the extras in run order. *)
+let interleaved ~reps ~updates run =
+  ignore (run ~on:false 99);
+  let runs = List.init (2 * reps) (fun i -> (i mod 2 = 1, run ~on:(i mod 2 = 1) (i / 2))) in
+  let mode on =
+    let mine = List.filter_map (fun (o, r) -> if o = on then Some r else None) runs in
+    let wall = List.fold_left (fun acc (w, _) -> acc +. w) 0. mine in
+    (float_of_int (List.length mine * updates) /. wall, List.map snd mine)
+  in
+  (mode false, mode true)
+
 module Chaos = Moq_chaos.Chaos
 
 let s2 () =
@@ -854,34 +907,7 @@ let s2 () =
   in
   bench_n := n;
   bench_seed := base_seed;
-  let fresh_dir tag =
-    let d =
-      Filename.concat (Filename.get_temp_dir_name ())
-        (Printf.sprintf "moq_bench_s2_%s_%d" tag (Unix.getpid ()))
-    in
-    if Sys.file_exists d then
-      Array.iter (fun f -> Sys.remove (Filename.concat d f)) (Sys.readdir d);
-    d
-  in
-  let rm_dir d =
-    if Sys.file_exists d then begin
-      Array.iter (fun f -> Sys.remove (Filename.concat d f)) (Sys.readdir d);
-      try Unix.rmdir d with Unix.Unix_error _ -> ()
-    end
-  in
-  let wait_until ?(deadline = 30.) what pred =
-    let t0 = Unix.gettimeofday () in
-    let rec go () =
-      if pred () then ()
-      else if Unix.gettimeofday () -. t0 > deadline then
-        failwith (Printf.sprintf "s2: timed out waiting for %s" what)
-      else begin
-        Thread.delay 0.02;
-        go ()
-      end
-    in
-    go ()
-  in
+  let fresh_dir = fresh_dir "s2" and wait_until = wait_until "s2" ~poll:0.02 in
   (* a port the chaos proxy will bind a moment after the follower that
      dials it has been spawned (the follower's replication loop retries) *)
   let reserve_port () =
@@ -1152,32 +1178,12 @@ let o1 () =
   let n = 16 and updates = 400 and reps = 5 in
   bench_n := n;
   bench_seed := 5;
-  let fresh_dir tag =
-    let d =
-      Filename.concat (Filename.get_temp_dir_name ())
-        (Printf.sprintf "moq_bench_o1_%s_%d" tag (Unix.getpid ()))
-    in
-    if Sys.file_exists d then
-      Array.iter (fun f -> Sys.remove (Filename.concat d f)) (Sys.readdir d);
-    d
-  in
-  let rm_dir d =
-    if Sys.file_exists d then begin
-      Array.iter (fun f -> Sys.remove (Filename.concat d f)) (Sys.readdir d);
-      try Unix.rmdir d with Unix.Unix_error _ -> ()
-    end
-  in
-  let wait_until ?(deadline = 30.) what pred =
-    let t0 = Unix.gettimeofday () in
-    while (not (pred ())) && Unix.gettimeofday () -. t0 < deadline do
-      Thread.delay 0.005
-    done;
-    if not (pred ()) then failwith (Printf.sprintf "o1: timed out waiting for %s" what)
-  in
+  let fresh_dir = fresh_dir "o1" and wait_until = wait_until "o1" in
   let flag v = List.assoc_opt "moq_repl_lag_updates" (Registry.flatten v) in
-  (* One rep: fresh primary + follower + subscribed client; returns
-     (rps, e2e samples [traced runs only], lag gauge samples, final lag). *)
-  let run_mode ~trace rep =
+  (* One rep: fresh primary + follower + subscribed client; returns its
+     wall time and (e2e samples [traced runs only], lag gauge samples,
+     final lag). *)
+  let run_mode ~on:trace rep =
     let tag = Printf.sprintf "%s%d" (if trace then "on" else "off") rep in
     let pdir = fresh_dir ("p" ^ tag) and fdir = fresh_dir ("f" ^ tag) in
     let db = Gen.uniform_db ~seed:5 ~n ~extent:100 ~speed:6 () in
@@ -1210,15 +1216,7 @@ let o1 () =
       | Error e -> failwith ("o1 follower: " ^ e)
     in
     wait_until "replication link" (fun () -> Server.repl_connected follower);
-    let conn what addr =
-      match SClient.connect ~timeout:15. addr with
-      | Ok c ->
-        (match SClient.hello c with
-         | Ok (Proto.R_hello _) -> c
-         | Ok _ | Error _ -> failwith ("o1: handshake failed: " ^ what))
-      | Error e -> failwith ("o1 " ^ what ^ ": " ^ SClient.error_to_string e)
-    in
-    let sc = conn "subscriber" (Server.bound_addr follower) in
+    let sc = connect_hello "o1" "subscriber" (Server.bound_addr follower) in
     (match
        SClient.request sc
          (Proto.Subscribe
@@ -1226,7 +1224,7 @@ let o1 () =
      with
      | Ok (Proto.R_subscribe _) -> ()
      | Ok _ | Error _ -> failwith "o1: subscribe failed");
-    let wc = conn "writer" (Server.bound_addr primary) in
+    let wc = connect_hello "o1" "writer" (Server.bound_addr primary) in
     let send_m = Mutex.create () in
     let send_times : (int, float) Hashtbl.t = Hashtbl.create 512 in
     let e2e = ref [] in
@@ -1311,31 +1309,12 @@ let o1 () =
     Server.stop primary;
     rm_dir pdir;
     rm_dir fdir;
-    (float_of_int updates /. wall, !e2e, !lag_samples, final_lag)
+    (wall, (!e2e, !lag_samples, final_lag))
   in
-  (* one discarded warmup (page cache, allocator growth), then the modes
-     interleaved (off,on,off,on,...) so slow drift in the host's load hits
-     both equally; per mode, pool all runs into one throughput estimate
-     (total updates over total wall) — the max or median of a handful of
-     short runs is itself a noisy statistic *)
-  ignore (run_mode ~trace:false 99);
-  let runs =
-    List.init (2 * reps) (fun i -> (i mod 2 = 1, run_mode ~trace:(i mod 2 = 1) (i / 2)))
-  in
-  let summarize traced =
-    let mine = List.filter_map (fun (t, r) -> if t = traced then Some r else None) runs in
-    let rps =
-      (* pooled: rps_i = updates/wall_i, so total wall = Σ updates/rps_i *)
-      let wall = List.fold_left (fun acc (rps, _, _, _) -> acc +. (float_of_int updates /. rps)) 0. mine in
-      float_of_int (List.length mine * updates) /. wall
-    in
-    let e2e = List.concat_map (fun (_, e, _, _) -> e) mine in
-    let lags = List.concat_map (fun (_, _, l, _) -> l) mine in
-    let final = match List.rev mine with (_, _, _, f) :: _ -> f | [] -> nan in
-    (rps, e2e, lags, final)
-  in
-  let rps_off, _, _, _ = summarize false in
-  let rps_on, e2e, lags, final_lag = summarize true in
+  let (rps_off, _), (rps_on, traced) = interleaved ~reps ~updates run_mode in
+  let e2e = List.concat_map (fun (e, _, _) -> e) traced in
+  let lags = List.concat_map (fun (_, l, _) -> l) traced in
+  let final_lag = match List.rev traced with (_, _, f) :: _ -> f | [] -> nan in
   let overhead = 100. *. (rps_off -. rps_on) /. rps_off in
   let pct l p =
     let a = Array.of_list l in
@@ -1387,21 +1366,7 @@ let o2 () =
   let n = 16 and updates = 400 and reps = 5 in
   bench_n := n;
   bench_seed := 6;
-  let fresh_dir tag =
-    let d =
-      Filename.concat (Filename.get_temp_dir_name ())
-        (Printf.sprintf "moq_bench_o2_%s_%d" tag (Unix.getpid ()))
-    in
-    if Sys.file_exists d then
-      Array.iter (fun f -> Sys.remove (Filename.concat d f)) (Sys.readdir d);
-    d
-  in
-  let rm_dir d =
-    if Sys.file_exists d then begin
-      Array.iter (fun f -> Sys.remove (Filename.concat d f)) (Sys.readdir d);
-      try Unix.rmdir d with Unix.Unix_error _ -> ()
-    end
-  in
+  let fresh_dir = fresh_dir "o2" in
   (* One rep: a primary with one subscribed client; the writer pushes
      [updates] chronological chdirs with a k-NN query every 64.  The two
      modes run the identical request sequence; only the observability
@@ -1409,7 +1374,7 @@ let o2 () =
      attribution, slow-query capture at an epsilon threshold so the
      capture path is actually exercised), off = all three disabled. *)
   let slowq_captured = ref 0 and flight_recorded = ref 0 in
-  let run_mode ~obs rep =
+  let run_mode ~on:obs rep =
     let dir = fresh_dir (Printf.sprintf "%s%d" (if obs then "on" else "off") rep) in
     let db = Gen.uniform_db ~seed:6 ~n ~extent:100 ~speed:6 () in
     let reg = if obs then !bench_reg else Registry.create () in
@@ -1426,14 +1391,7 @@ let o2 () =
       | Ok s -> s
       | Error e -> failwith ("o2 server: " ^ e)
     in
-    let conn what =
-      match SClient.connect ~timeout:15. (Server.bound_addr srv) with
-      | Ok c ->
-        (match SClient.hello c with
-         | Ok (Proto.R_hello _) -> c
-         | Ok _ | Error _ -> failwith ("o2: handshake failed: " ^ what))
-      | Error e -> failwith ("o2 " ^ what ^ ": " ^ SClient.error_to_string e)
-    in
+    let conn what = connect_hello "o2" what (Server.bound_addr srv) in
     let sc = conn "subscriber" in
     (match
        SClient.request sc
@@ -1493,22 +1451,9 @@ let o2 () =
     SClient.close sc;
     Server.stop srv;
     rm_dir dir;
-    float_of_int updates /. wall
+    (wall, ())
   in
-  (* one discarded warmup, then the modes interleaved and pooled, exactly
-     as in o1: rps = total updates / total wall per mode *)
-  ignore (run_mode ~obs:false 99);
-  let runs =
-    List.init (2 * reps) (fun i -> (i mod 2 = 1, run_mode ~obs:(i mod 2 = 1) (i / 2)))
-  in
-  let pooled obs =
-    let mine = List.filter_map (fun (o, r) -> if o = obs then Some r else None) runs in
-    let wall =
-      List.fold_left (fun acc rps -> acc +. (float_of_int updates /. rps)) 0. mine
-    in
-    float_of_int (List.length mine * updates) /. wall
-  in
-  let rps_off = pooled false and rps_on = pooled true in
+  let (rps_off, _), (rps_on, _) = interleaved ~reps ~updates run_mode in
   let overhead = 100. *. (rps_off -. rps_on) /. rps_off in
   row "%14s %12s %12s\n" "observability" "updates" "pooled rps";
   row "%14s %12d %12.0f\n" "off" updates rps_off;
@@ -1550,21 +1495,11 @@ let o2 () =
          { oid; tau = q (j + 1);
            a = Qvec.of_list [ q (s * (1 + (j mod 3))); q 0 ] })
   done;
-  let hot =
-    List.map
-      (fun (h : MonX.E.hot) ->
-        { Explain.oid = h.MonX.E.h_oid; comparisons = h.MonX.E.h_comparisons;
-          swaps = h.MonX.E.h_swaps })
-      (MonX.hot_objects m)
-  in
+  let hot = MonX.hot_objects m in
   let report =
     Explain.make ~kind:"past" ~query:"o2 skewed nearest" ~backend:"exact"
       ~n_objects:(movers + cold) ~lo:0. ~hi:(float_of_int (hot_updates + 10))
-      ~timeline_pieces:0
-      ~sweep:
-        { Explain.batches = 0; crossings = 0; births = 0; deaths = 0; jumps = 0;
-          swaps = 0; comparisons = 0; support_changes = 0 }
-      ~hot ~counters:(Registry.flatten !bench_reg) ()
+      ~timeline_pieces:0 ~hot ~counters:(Registry.flatten !bench_reg) ()
   in
   let coverage = 100. *. Explain.hot_coverage report in
   let total_cmp = List.fold_left (fun a h -> a + h.Explain.comparisons) 0 hot in
@@ -1699,91 +1634,6 @@ let w1 () =
     ]
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks: one Test per experiment id               *)
-(* ------------------------------------------------------------------ *)
-
-let bechamel_suite () =
-  let open Bechamel in
-  let open Toolkit in
-  let knn_f3 () =
-    let o1, o2, o3, o4 = Scenario.example12_curves () in
-    let eng =
-      EX.create ~start:(q 0) ~horizon:(q 40)
-        [ (EX.Obj (1, 0), o1); (EX.Obj (2, 0), o2); (EX.Obj (3, 0), o3); (EX.Obj (4, 0), o4) ]
-    in
-    EX.advance eng ~upto:(q 40) ~emit:(fun _ -> ())
-  in
-  let t4_sweep () =
-    let db = Gen.inversions_db ~seed:1 ~n:128 ~inversions:256 ~horizon:(q 1000) in
-    ignore (KnnF.run ~db ~gdist:(Gdist.coordinate 0) ~k:2 ~lo:(q 0) ~hi:(q 1000))
-  in
-  let t5a_init =
-    let db = Gen.uniform_db ~seed:2 ~n:256 () in
-    fun () -> ignore (nearest_monitor_f db)
-  in
-  let t5b_updates =
-    let db = Gen.uniform_db ~seed:3 ~n:128 () in
-    let updates = Gen.chdir_stream ~seed:4 ~db ~start:(q 0) ~gap:(q 1) ~count:10 () in
-    fun () ->
-      let m = nearest_monitor_f db in
-      List.iter (MonF.apply_update_exn m) updates
-  in
-  let t10_chdir =
-    let db = Gen.uniform_db ~seed:5 ~n:256 () in
-    let gamma = T.stationary ~start:(q 0) (Qvec.zero 2) in
-    let gdist = Gdist.euclidean_sq ~gamma in
-    let gdist' = Gdist.euclidean_sq ~gamma:(T.chdir gamma (q 10) (Qvec.of_list [ q 1; q 1 ])) in
-    let query = Fof.nearest_q ~interval:(Fof.Interval.closed (q 0) (q 1000)) in
-    fun () ->
-      let m = MonF.create ~materialize:false ~db ~gdist ~query () in
-      MonF.chdir_query m ~tau:(q 10) ~gdist:gdist'
-  in
-  let b1_naive () =
-    let db = Gen.inversions_db ~seed:6 ~n:32 ~inversions:64 ~horizon:(q 1000) in
-    ignore (NaiveF.knn_run ~db ~gdist:(Gdist.coordinate 0) ~k:2 ~lo:(q 0) ~hi:(q 1000))
-  in
-  let p1_cql () =
-    let db = ref (DB.empty ~dim:2 ~tau:(q 0)) in
-    for i = 1 to 16 do
-      db :=
-        DB.add_initial !db i
-          (T.linear ~start:(q 0)
-             ~a:(Qvec.of_list [ q 2; q 0 ])
-             ~b:(Qvec.of_list [ q (-i); q ((i mod 7) - 3) ]))
-    done;
-    let region = Cql_ex.box [ (q 0, q 40); (q (-5), q 5) ] in
-    ignore (Cql.answer !db (Cql_ex.entering ~region ~dim:2 ~tau1:(q 0) ~tau2:(q 30)))
-  in
-  let t2_reduction () =
-    ignore (Reduction.is_past_up_to (Turing.busy_beaver_3 ()) ~max_steps:30)
-  in
-  let tests =
-    Test.make_grouped ~name:"moq" ~fmt:"%s:%s"
-      [ Test.make ~name:"f3-example12-sweep" (Staged.stage knn_f3);
-        Test.make ~name:"t4-past-knn-n128" (Staged.stage t4_sweep);
-        Test.make ~name:"t5a-init-n256" (Staged.stage t5a_init);
-        Test.make ~name:"t5b-10-updates-n128" (Staged.stage t5b_updates);
-        Test.make ~name:"t10-chdir-query-n256" (Staged.stage t10_chdir);
-        Test.make ~name:"b1-naive-knn-n32" (Staged.stage b1_naive);
-        Test.make ~name:"p1-cql-entering-n16" (Staged.stage p1_cql);
-        Test.make ~name:"t2-reduction-bb3" (Staged.stage t2_reduction);
-      ]
-  in
-  let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:Measure.[| run |] in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:30 ~quota:(Time.second 0.5) ~kde:None ~stabilize:false () in
-  let raw = Benchmark.all cfg instances tests in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  Printf.printf "\n%-30s %16s\n" "benchmark" "ns/run";
-  let rows = Hashtbl.fold (fun k v acc -> (k, v) :: acc) results [] in
-  List.iter
-    (fun (name, ols_result) ->
-      match Analyze.OLS.estimates ols_result with
-      | Some (est :: _) -> Printf.printf "%-30s %16.0f\n" name est
-      | _ -> Printf.printf "%-30s %16s\n" name "n/a")
-    (List.sort compare rows)
-
-(* ------------------------------------------------------------------ *)
 (* S3: sharded index-pruned sweeps -- per-event cost local, not global *)
 (* ------------------------------------------------------------------ *)
 
@@ -1847,8 +1697,8 @@ let s3 () =
       per_event := (string_of_int n, Json.Float ns) :: !per_event;
       let sb = r.ShF.shard in
       prune_rate :=
-        float_of_int sb.ShF.pruned
-        /. float_of_int (max 1 (sb.ShF.admitted + sb.ShF.pruned));
+        float_of_int sb.Explain.s_pruned
+        /. float_of_int (max 1 (sb.Explain.s_admitted + sb.Explain.s_pruned));
       if n = 1_000 then begin
         let gdist = Gdist.euclidean_sq ~gamma in
         let rx = KnnX.run ~db ~gdist ~k ~lo ~hi in
@@ -1856,8 +1706,8 @@ let s3 () =
         if not !identical then
           failwith "S3: sharded timeline diverged from exact at N = 1000"
       end;
-      row "%8d %8d %8d %9d %8d %11.4f %12.0f %7.1f%%\n" n sb.ShF.shards_total
-        sb.ShF.shards_touched sb.ShF.admitted events (t_all -. build) ns
+      row "%8d %8d %8d %9d %8d %11.4f %12.0f %7.1f%%\n" n sb.Explain.s_total
+        sb.Explain.s_touched sb.Explain.s_admitted events (t_all -. build) ns
         (100.0 *. !prune_rate))
     [ 1_000; 10_000; 100_000 ];
   let ns_of n =
@@ -1891,7 +1741,6 @@ let () =
     Printf.printf "moq experiment harness -- reproducing every figure and theorem\n";
     Printf.printf "(experiment index: DESIGN.md section 5; recorded results: EXPERIMENTS.md)\n";
     List.iter (fun (id, f) -> run_experiment (id, f)) experiments
-  | [ "bechamel" ] -> bechamel_suite ()
   | ids ->
     List.iter
       (fun id ->

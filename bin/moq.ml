@@ -15,7 +15,6 @@ module T = Moq_mod.Trajectory
 module DB = Moq_mod.Mobdb
 module BX = Moq_core.Backend.Exact
 module EX = Moq_core.Engine.Make (BX)
-module KnnX = Moq_core.Knn.Make (BX)
 module MonX = Moq_core.Monitor.Make (BX)
 module Fof = Moq_core.Fof
 module Gdist = Moq_core.Gdist
@@ -395,9 +394,11 @@ let show_cmd =
   let path = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE") in
   Cmd.v (Cmd.info "show" ~doc:"Pretty-print a saved MOD") Term.(const show_run $ path)
 
-(* Backend selection: the sweep, monitor and k-NN pipelines are functors
-   over Backend.S, so one flag picks exact, filtered or approx. *)
+(* Backend selection: one flag picks the sweep driver and the arithmetic
+   (exact, filtered or approx) it runs on; sharded-filtered is the sharded
+   driver over the filtered arithmetic. *)
 module BFl = Moq_core.Backend.Filtered
+module Exec = Moq_core.Exec
 
 let backend_arg =
   Arg.(value
@@ -413,10 +414,17 @@ let backend_arg =
                  (filtered arithmetic under the spatially sharded, \
                  index-pruned sweep driver — same answers as exact)")
 
-let backend_module = function
-  | `Exact -> (module BX : Moq_core.Backend.S)
-  | `Filtered | `ShardedFl -> (module BFl : Moq_core.Backend.S)
-  | `Approx -> (module Moq_core.Backend.Approx : Moq_core.Backend.S)
+let backend_name = function
+  | `Exact -> "exact"
+  | `Filtered -> "filtered"
+  | `Approx -> "approx"
+  | `ShardedFl -> "sharded-filtered"
+
+let split_backend = function
+  | `Exact -> (Exec.Plain, (module BX : Moq_core.Backend.S))
+  | `Filtered -> (Exec.Plain, (module BFl : Moq_core.Backend.S))
+  | `Approx -> (Exec.Plain, (module Moq_core.Backend.Approx : Moq_core.Backend.S))
+  | `ShardedFl -> (Exec.Sharded, (module BFl : Moq_core.Backend.S))
 
 let print_filter_stats = function
   | `Filtered | `ShardedFl ->
@@ -425,42 +433,28 @@ let print_filter_stats = function
       (100.0 *. float_of_int s.BFl.hits /. float_of_int (max 1 s.BFl.decisions))
   | `Exact | `Approx -> ()
 
-module Knn_pipeline (B : Moq_core.Backend.S) = struct
-  module K = Moq_core.Knn.Make (B)
-
-  let run ~db ~gdist ~k ~lo ~hi ~hi_int =
-    let r = K.run ~db ~gdist ~k ~lo ~hi in
-    Format.printf "%d-NN to the origin over [0, %d] (%d objects):@.%a@." k hi_int
-      (DB.cardinal db) K.TL.pp r.K.timeline;
-    Format.printf "%d support changes@." r.K.stats.K.E.crossings
-end
-
-module Sharded_knn_pipeline (B : Moq_core.Backend.S) = struct
-  module Sh = Moq_core.Shard.Make (B)
-
-  let run ~db ~gamma ~k ~lo ~hi ~hi_int =
-    let r = Sh.run ~db ~gamma ~k ~lo ~hi () in
-    Format.printf "%d-NN to the origin over [0, %d] (%d objects):@.%a@." k hi_int
-      (DB.cardinal db) Sh.TL.pp r.Sh.timeline;
-    Format.printf "%d support changes@." r.Sh.stats.Sh.E.crossings;
-    let s = r.Sh.shard in
-    Format.printf "shards: %d/%d touched, %d admitted, %d pruned@."
-      s.Sh.shards_touched s.Sh.shards_total s.Sh.admitted s.Sh.pruned
-end
+let knn_describe k lo hi = Printf.sprintf "%d-NN to the origin over [%d, %d]" k lo hi
 
 let knn_run seed n k hi dbfile backend =
   let db = load_or_gen dbfile seed n in
   let gamma = T.stationary ~start:(q 0) (Qvec.zero 2) in
-  let gdist = Gdist.euclidean_sq ~gamma in
   BFl.reset_filter_stats ();
-  let module B = (val backend_module backend) in
-  (match backend with
-   | `ShardedFl ->
-     let module P = Sharded_knn_pipeline (B) in
-     P.run ~db ~gamma ~k ~lo:(q 0) ~hi:(q hi) ~hi_int:hi
-   | `Exact | `Filtered | `Approx ->
-     let module P = Knn_pipeline (B) in
-     P.run ~db ~gdist ~k ~lo:(q 0) ~hi:(q hi) ~hi_int:hi);
+  let driver, b = split_backend backend in
+  let module B = (val b) in
+  let module X = Exec.Make (B) in
+  let r =
+    X.run ~driver ~backend:(backend_name backend) ~describe:(knn_describe k 0 hi)
+      ~db ~gamma ~lo:(q 0) ~hi:(q hi) (Exec.Knn k)
+  in
+  let ex = r.X.explain in
+  Format.printf "%d-NN to the origin over [0, %d] (%d objects):@.%a@." k hi
+    (DB.cardinal db) X.TL.pp r.X.timeline;
+  Format.printf "%d support changes@." ex.Explain.sweep.Explain.crossings;
+  Option.iter
+    (fun (s : Explain.shards) ->
+      Format.printf "shards: %d/%d touched, %d admitted, %d pruned@."
+        s.s_touched s.s_total s.s_admitted s.s_pruned)
+    ex.Explain.shards;
   print_filter_stats backend
 
 let knn_cmd =
@@ -787,85 +781,6 @@ let ingest_cmd =
 (* moq explain: plan + cost report for one query run                   *)
 (* ------------------------------------------------------------------ *)
 
-let backend_name = function
-  | `Exact -> "exact"
-  | `Filtered -> "filtered"
-  | `Approx -> "approx"
-  | `ShardedFl -> "sharded-filtered"
-
-(* Runs one query under an instrumented sink and flattens the functorized
-   engine stats / hot lists into Explain's plain data. *)
-module Explain_pipeline (B : Moq_core.Backend.S) = struct
-  module Sw = Moq_core.Sweep.Make (B)
-  module K = Moq_core.Knn.Make (B)
-  module Sh = Moq_core.Shard.Make (B)
-
-  let run_knn ~sink ~db ~gdist ~k ~lo ~hi =
-    let r = K.run_obs ~sink ~db ~gdist ~k ~lo ~hi in
-    let s = r.K.stats in
-    let sweep =
-      { Explain.batches = s.K.E.batches; crossings = s.K.E.crossings;
-        births = s.K.E.births; deaths = s.K.E.deaths; jumps = s.K.E.jumps;
-        swaps = s.K.E.swaps; comparisons = s.K.E.comparisons;
-        support_changes = s.K.E.crossings + s.K.E.births + s.K.E.deaths }
-    in
-    let hot =
-      List.map
-        (fun (h : K.E.hot) ->
-          { Explain.oid = h.K.E.h_oid; comparisons = h.K.E.h_comparisons;
-            swaps = h.K.E.h_swaps })
-        r.K.hot
-    in
-    (sweep, hot, List.length r.K.timeline, None)
-
-  let run_knn_sharded ~sink ~db ~gamma ~k ~lo ~hi =
-    let r = Sh.run_obs ~sink ~db ~gamma ~k ~lo ~hi () in
-    let s = r.Sh.stats in
-    let sweep =
-      { Explain.batches = s.Sh.E.batches; crossings = s.Sh.E.crossings;
-        births = s.Sh.E.births; deaths = s.Sh.E.deaths; jumps = s.Sh.E.jumps;
-        swaps = s.Sh.E.swaps; comparisons = s.Sh.E.comparisons;
-        support_changes = s.Sh.E.crossings + s.Sh.E.births + s.Sh.E.deaths }
-    in
-    let hot =
-      List.map
-        (fun (h : Sh.E.hot) ->
-          { Explain.oid = h.Sh.E.h_oid; comparisons = h.Sh.E.h_comparisons;
-            swaps = h.Sh.E.h_swaps })
-        r.Sh.hot
-    in
-    let sb = r.Sh.shard in
-    let shards =
-      { Explain.s_total = sb.Sh.shards_total; s_touched = sb.Sh.shards_touched;
-        s_admitted = sb.Sh.admitted; s_pruned = sb.Sh.pruned;
-        s_merge_ops = sb.Sh.frontier_merge_ops; s_events = sb.Sh.shard_events;
-        s_band = sb.Sh.band }
-    in
-    (sweep, hot, List.length r.Sh.timeline, Some shards)
-
-  let run_past ~sink ~db ~gdist ~query =
-    let r = Sw.run_obs ~sink ~db ~gdist ~query in
-    let s = r.Sw.stats in
-    let sweep =
-      { Explain.batches = s.Sw.E.batches; crossings = s.Sw.E.crossings;
-        births = s.Sw.E.births; deaths = s.Sw.E.deaths; jumps = s.Sw.E.jumps;
-        swaps = s.Sw.E.swaps; comparisons = s.Sw.E.comparisons;
-        support_changes = r.Sw.support_changes }
-    in
-    let hot =
-      List.map
-        (fun (h : Sw.E.hot) ->
-          { Explain.oid = h.Sw.E.h_oid; comparisons = h.Sw.E.h_comparisons;
-            swaps = h.Sw.E.h_swaps })
-        r.Sw.hot
-    in
-    (sweep, hot, List.length r.Sw.timeline, None)
-end
-
-let zero_sweep =
-  { Explain.batches = 0; crossings = 0; births = 0; deaths = 0; jumps = 0;
-    swaps = 0; comparisons = 0; support_changes = 0 }
-
 let explain_report kind seed n k lo hi dbfile backend =
   if hi < lo then die "explain: empty window [%d, %d]" lo hi;
   let reg = Registry.create () in
@@ -874,17 +789,22 @@ let explain_report kind seed n k lo hi dbfile backend =
   let db = load_or_gen dbfile seed n in
   let t_load = Unix.gettimeofday () -. t0 in
   let gamma = T.stationary ~start:(q 0) (Qvec.zero 2) in
-  let gdist = Gdist.euclidean_sq ~gamma in
-  let query = Fof.nearest_q ~interval:(Fof.Interval.closed (q lo) (q hi)) in
-  let classification =
-    Format.asprintf "%a" Classify.pp (Classify.classify db query)
-  in
+  let nearest = Fof.nearest_q ~interval:(Fof.Interval.closed (q lo) (q hi)) in
   BFl.reset_filter_stats ();
-  let module B = (val backend_module backend) in
-  let module P = Explain_pipeline (B) in
+  let driver, b = split_backend backend in
+  let module B = (val b) in
+  let module X = Exec.Make (B) in
+  let run describe query =
+    (X.run ~driver ~sink ~backend:(backend_name backend) ~describe ~db ~gamma
+       ~lo:(q lo) ~hi:(q hi) query).X.explain
+  in
+  let unswept ~kind ~query ~backend ~classification ~timeline_pieces ?agg () =
+    Explain.make ~kind ~query ~backend ~classification ~n_objects:(DB.cardinal db)
+      ~lo:(float_of_int lo) ~hi:(float_of_int hi) ~timeline_pieces ?agg
+      ~counters:(Registry.flatten reg) ()
+  in
   let t1 = Unix.gettimeofday () in
-  let agg_block = ref None in
-  let kind_s, qdesc, classification, (sweep, hot, pieces, shards) =
+  let report =
     match kind with
     | `Agg ->
       (* continuous POI aggregation over the generated workload: k POIs on
@@ -906,54 +826,42 @@ let explain_report kind seed n k lo hi dbfile backend =
       List.iter (fun u -> ignore (AggX.Cont.apply_update cont u)) updates;
       let rows = AggX.Cont.finalize cont in
       let s = AggX.Cont.stats cont in
-      agg_block :=
-        Some
+      unswept ~kind:"agg"
+        ~query:
+          (Printf.sprintf "%d POI(s), radius 25, window 10, aggregated over [%d, %d]"
+             (List.length pois) lo hi)
+        ~backend:"exact" ~classification:"continuing"
+        ~timeline_pieces:(List.length rows)
+        ~agg:
           { Explain.a_pois = s.Agg.pois; a_windows = s.Agg.windows;
             a_rows = s.Agg.rows; a_admitted = s.Agg.admitted;
             a_pruned = s.Agg.pruned; a_updates = s.Agg.updates;
-            a_forwarded = s.Agg.forwarded };
-      ( "agg",
-        Printf.sprintf
-          "%d POI(s), radius 25, window 10, aggregated over [%d, %d]"
-          (List.length pois) lo hi,
-        "continuing",
-        (zero_sweep, [], List.length rows, None) )
-    | `Knn ->
-      ( "knn",
-        Printf.sprintf "%d-NN to the origin over [%d, %d]" k lo hi,
-        "n/a",
-        match backend with
-        | `ShardedFl ->
-          P.run_knn_sharded ~sink ~db ~gamma ~k ~lo:(q lo) ~hi:(q hi)
-        | `Exact | `Filtered | `Approx ->
-          P.run_knn ~sink ~db ~gdist ~k ~lo:(q lo) ~hi:(q hi) )
+            a_forwarded = s.Agg.forwarded }
+        ()
+    | `Knn -> run (knn_describe k lo hi) (Exec.Knn k)
     | `Past ->
-      ( "past",
-        Printf.sprintf "nearest-neighbour query swept over [%d, %d]" lo hi,
-        classification,
-        P.run_past ~sink ~db ~gdist ~query )
+      run (Printf.sprintf "nearest-neighbour query swept over [%d, %d]" lo hi)
+        (Exec.Past nearest)
     | `Cql ->
       (* the Definition 5 classification is the plan: a past query is
          frozen and swept in full; otherwise the sweep belongs to the
          monitor's semi-evaluation and nothing runs here *)
-      let run =
-        if classification = "past" then P.run_past ~sink ~db ~gdist ~query
-        else (zero_sweep, [], 0, None)
+      let classification =
+        Format.asprintf "%a" Classify.pp (Classify.classify db nearest)
       in
-      ( "cql",
-        Printf.sprintf "FO(f) nearest query over [%d, %d] — %s" lo hi
-          (if classification = "past" then "frozen, swept in full (Theorem 4)"
-           else "semi-evaluated by the monitor (not swept here)"),
-        classification,
-        run )
+      let describe plan = Printf.sprintf "FO(f) nearest query over [%d, %d] — %s" lo hi plan in
+      if classification = "past" then
+        { (run (describe "frozen, swept in full (Theorem 4)") (Exec.Past nearest)) with
+          Explain.kind = "cql" }
+      else
+        unswept ~kind:"cql" ~query:(describe "semi-evaluated by the monitor (not swept here)")
+          ~backend:(backend_name backend) ~classification ~timeline_pieces:0 ()
   in
   let t_run = Unix.gettimeofday () -. t1 in
-  (match backend with
-   | `Filtered | `ShardedFl -> BFl.publish sink
-   | `Exact | `Approx -> ());
   let filter =
     match backend with
     | `Filtered | `ShardedFl ->
+      BFl.publish sink;
       let s = BFl.filter_stats () in
       Some
         { Explain.f_hits = s.BFl.hits; f_misses = s.BFl.misses;
@@ -961,17 +869,12 @@ let explain_report kind seed n k lo hi dbfile backend =
           f_straddles = s.BFl.straddles }
     | `Exact | `Approx -> None
   in
-  let backend_str =
-    match kind with `Agg -> "exact" | _ -> backend_name backend
-  in
-  Explain.make ~kind:kind_s ~query:qdesc ~backend:backend_str
-    ~classification ~n_objects:(DB.cardinal db) ~lo:(float_of_int lo)
-    ~hi:(float_of_int hi) ~timeline_pieces:pieces ~sweep ?filter ?shards
-    ?agg:!agg_block ~hot
-    ~phases:
+  { report with
+    Explain.filter;
+    phases =
       [ { Explain.name = "load_db"; ns = 1e9 *. t_load };
-        { Explain.name = "run"; ns = 1e9 *. t_run } ]
-    ~counters:(Registry.flatten reg) ()
+        { Explain.name = "run"; ns = 1e9 *. t_run } ];
+    counters = Registry.flatten reg }
 
 let explain_run kind seed n k lo hi dbfile backend as_json log_level log_json =
   setup_logging log_level log_json;
@@ -1239,54 +1142,6 @@ let recover_cmd =
 (* registry.                                                           *)
 (* ------------------------------------------------------------------ *)
 
-module Stats_pipeline (B : Moq_core.Backend.S) = struct
-  module Mon = Moq_core.Monitor.Make (B)
-  module K = Moq_core.Knn.Make (B)
-  module Sh = Moq_core.Shard.Make (B)
-
-  (* Top-5 hottest objects (per-object sweep-cost attribution) as flat
-     gauges: rank-indexed names keep the registry's flat namespace, and the
-     coverage gauge says how concentrated the cost is. *)
-  let publish_hot ~sink hots =
-    let total =
-      List.fold_left (fun a (h : Mon.E.hot) -> a + h.Mon.E.h_comparisons) 0 hots
-    in
-    let top = ref 0 in
-    List.iteri
-      (fun i (h : Mon.E.hot) ->
-        if i < 5 then begin
-          top := !top + h.Mon.E.h_comparisons;
-          Sink.set sink (Printf.sprintf "moq_hot_oid_%d" i)
-            (float_of_int h.Mon.E.h_oid);
-          Sink.set sink (Printf.sprintf "moq_hot_comparisons_%d" i)
-            (float_of_int h.Mon.E.h_comparisons);
-          Sink.set sink (Printf.sprintf "moq_hot_swaps_%d" i)
-            (float_of_int h.Mon.E.h_swaps)
-        end)
-      hots;
-    if total > 0 then
-      Sink.set sink "moq_hot_coverage_pct"
-        (100. *. float_of_int !top /. float_of_int total)
-
-  let run ~sink ~store ~san ~db ~gamma ~gdist ~query ~updates ~hi ~sharded =
-    let m = Mon.create ~sink ~db ~gdist ~query () in
-    List.iter
-      (fun u ->
-        match Store.ingest store san u with
-        | Sanitize.Accepted _ ->
-          (match Mon.apply_update m u with Ok () -> () | Error _ -> ())
-        | Sanitize.Rejected _ | Sanitize.Quarantined _ -> ())
-      updates;
-    ignore (Mon.audit_and_heal m);
-    publish_hot ~sink (Mon.hot_objects m);
-    ignore (Mon.finalize m);
-    Store.close store;
-    (* past-query path, so the sweep metrics are populated too *)
-    if sharded then
-      ignore (Sh.run_obs ~sink ~db:(Store.db store) ~gamma ~k:2 ~lo:(q 0) ~hi ())
-    else ignore (K.run_obs ~sink ~db:(Store.db store) ~gdist ~k:2 ~lo:(q 0) ~hi)
-end
-
 let stats_run seed n count gap dbfile updates_file store_dir every format backend
     log_level log_json =
   setup_logging log_level log_json;
@@ -1304,18 +1159,34 @@ let stats_run seed n count gap dbfile updates_file store_dir every format backen
   let san = Sanitize.create ~sink () in
   let gamma = T.stationary ~start:(q 0) (Qvec.zero 2) in
   let gdist = Gdist.euclidean_sq ~gamma in
-  let hi = q (count * gap + 20) in
-  let query = Fof.nearest_q ~interval:(Fof.Interval.closed (q 0) hi) in
+  let hi = count * gap + 20 in
+  let query = Fof.nearest_q ~interval:(Fof.Interval.closed (q 0) (q hi)) in
   let updates =
     match updates_file with
     | Some path -> load_updates path
     | None -> Gen.mixed_stream ~seed:(seed + 1) ~db ~start:(q 0) ~gap:(q gap) ~count ()
   in
   BFl.reset_filter_stats ();
-  let module B = (val backend_module backend) in
-  let module P = Stats_pipeline (B) in
-  P.run ~sink ~store ~san ~db ~gamma ~gdist ~query ~updates ~hi
-    ~sharded:(backend = `ShardedFl);
+  let driver, b = split_backend backend in
+  let module B = (val b) in
+  let module Mon = Moq_core.Monitor.Make (B) in
+  let module X = Exec.Make (B) in
+  let m = Mon.create ~sink ~db ~gdist ~query () in
+  List.iter
+    (fun u ->
+      match Store.ingest store san u with
+      | Sanitize.Accepted _ ->
+        (match Mon.apply_update m u with Ok () -> () | Error _ -> ())
+      | Sanitize.Rejected _ | Sanitize.Quarantined _ -> ())
+    updates;
+  ignore (Mon.audit_and_heal m);
+  Explain.publish_hot sink (Mon.hot_objects m);
+  ignore (Mon.finalize m);
+  Store.close store;
+  (* a one-shot k-NN sweep too, so the sweep metrics are populated *)
+  ignore
+    (X.run ~driver ~sink ~backend:(backend_name backend) ~describe:(knn_describe 2 0 hi)
+       ~db:(Store.db store) ~gamma ~lo:(q 0) ~hi:(q hi) (Exec.Knn 2));
   (* filtered backend: surface moq_filter_* alongside the engine metrics *)
   (match backend with
    | `Filtered | `ShardedFl -> BFl.publish sink

@@ -50,6 +50,37 @@ module Make (B : Backend.S) = struct
     let p1, _ = piece_at c1 i and p2, _ = piece_at c2 i in
     B.sign_after_instant (P.sub p1 p2) i
 
+  (* Do the curves carry the same polynomial on some stretch of time?  A
+     merge walk over both piece lists in exact scalar arithmetic — no
+     instant is compared, so the filtered backend records no decision. *)
+  let share_a_piece (c1 : PW.t) (c2 : PW.t) =
+    let ends stop = function (s, _) :: _ -> Some s | [] -> stop in
+    let before a = function Some b -> F.compare a b < 0 | None -> true in
+    let rec walk l1 l2 =
+      match l1, l2 with
+      | (s1, p1) :: r1, (s2, p2) :: r2 ->
+        let e1 = ends (PW.stop c1) r1 and e2 = ends (PW.stop c2) r2 in
+        (before s1 e2 && before s2 e1 && P.equal p1 p2)
+        || (if before_end e1 e2 then walk r1 l2 else walk l1 r2)
+      | _ -> false
+    and before_end e1 e2 =
+      match e1, e2 with
+      | Some a, Some b -> F.compare a b < 0
+      | Some _, None -> true
+      | None, _ -> false
+    in
+    walk (PW.pieces c1) (PW.pieces c2)
+
+  (* Do the curves coincide on a neighbourhood to the right of [i]?  An
+     identity test on the pieces in force, not a sign test, so tangent
+     curves are never mistaken for tied ones; curves that never share a
+     piece are rejected before any instant is located. *)
+  let identical_after c1 c2 i =
+    share_a_piece c1 c2
+    &&
+    let p1, _ = piece_at c1 i and p2, _ = piece_at c2 i in
+    P.is_zero (P.sub p1 p2)
+
   (* Merged piece boundaries of two curves restricted to their common
      domain: returns [(start, poly_diff, stop_opt)] segments in order. *)
   let diff_segments (c1 : PW.t) (c2 : PW.t) : (F.t * P.t * F.t option) list =

@@ -6,6 +6,7 @@ module Sink = Moq_obs.Sink
 
 module Make (B : Backend.S) = struct
   module C = Curves.Make (B)
+  module TL = Timeline.Make (B)
   module PW = B.PW
   module F = B.P.F
 
@@ -58,7 +59,17 @@ module Make (B : Backend.S) = struct
     mutable audit_event : int;
     mutable audit_dead : int;
     mutable audit_clock : int;
+    (* Lemma 9's inputs: events popped in batches, and the comparisons
+       spent inside batches (the initial sort excluded) *)
+    mutable events : int;
+    mutable event_comparisons : int;
   }
+
+  let summary s =
+    { Explain.batches = s.batches; crossings = s.crossings; births = s.births;
+      deaths = s.deaths; jumps = s.jumps; swaps = s.swaps;
+      comparisons = s.comparisons;
+      support_changes = s.crossings + s.births + s.deaths }
 
   type violation_kind = V_structure | V_order | V_event | V_dead | V_clock
 
@@ -75,12 +86,6 @@ module Make (B : Backend.S) = struct
      cost is a hashtable probe — [None] (attribution off) skips even
      that. *)
   type attr_cell = { mutable a_cmp : int; mutable a_swap : int }
-
-  type hot = {
-    h_oid : Moq_mod.Oid.t;
-    h_comparisons : int;
-    h_swaps : int;
-  }
 
   type t = {
     order : entry OL.t;
@@ -145,13 +150,14 @@ module Make (B : Backend.S) = struct
     | None -> []
     | Some h ->
       Hashtbl.fold
-        (fun oid c acc -> { h_oid = oid; h_comparisons = c.a_cmp; h_swaps = c.a_swap } :: acc)
+        (fun oid c acc ->
+          { Explain.oid; comparisons = c.a_cmp; swaps = c.a_swap } :: acc)
         h []
-      |> List.sort (fun a b ->
-             match compare b.h_comparisons a.h_comparisons with
+      |> List.sort (fun (a : Explain.hot) b ->
+             match compare b.comparisons a.comparisons with
              | 0 ->
-               (match compare b.h_swaps a.h_swaps with
-                | 0 -> Moq_mod.Oid.compare a.h_oid b.h_oid
+               (match compare b.swaps a.swaps with
+                | 0 -> Moq_mod.Oid.compare a.oid b.oid
                 | c -> c)
              | c -> c)
 
@@ -269,7 +275,8 @@ module Make (B : Backend.S) = struct
         horizon;
         by_label = Hashtbl.create 64;
         stats = { crossings = 0; swaps = 0; births = 0; deaths = 0; batches = 0; jumps = 0; comparisons = 0; audit_failures = 0; rebuilds = 0;
-                  audit_structure = 0; audit_order = 0; audit_event = 0; audit_dead = 0; audit_clock = 0 };
+                  audit_structure = 0; audit_order = 0; audit_event = 0; audit_dead = 0; audit_clock = 0;
+                  events = 0; event_comparisons = 0 };
         sink;
         attr = (if attr then Some (Hashtbl.create 64) else None);
       }
@@ -475,10 +482,13 @@ module Make (B : Backend.S) = struct
           schedule_around t e
         end)
       !disturbed;
+    let nev = List.length events in
+    t.stats.events <- t.stats.events + nev;
+    t.stats.event_comparisons <-
+      t.stats.event_comparisons + (t.stats.comparisons - cmp0);
     if Sink.active t.sink then begin
       (* per-event telemetry: the paper's m (support changes) and Lemma 9's
          O(log N) order-list work per event, as comparisons per event *)
-      let nev = List.length events in
       let classify (c, b, d, j) = function
         | Cross _ -> (c + 1, b, d, j)
         | Birth _ -> (c, b + 1, d, j)
@@ -519,6 +529,20 @@ module Make (B : Backend.S) = struct
          | None -> continue_ := false)
       | _ -> continue_ := false
     done
+
+  let timeline t ~lo ~hi ~span ~at =
+    let instant q = B.instant_of_scalar (B.scalar_of_rat q) in
+    let lo_i = instant lo and hi_i = instant hi in
+    let pieces = ref [ TL.At (lo_i, at lo_i) ] in
+    if Q.compare lo hi < 0 then begin
+      advance t ~upto:(B.scalar_of_rat hi) ~emit:(function
+        | Span (a, b) -> pieces := TL.Span (a, b, span a b) :: !pieces
+        | Point i -> pieces := TL.At (i, at i) :: !pieces);
+      let last = t.now in
+      if B.compare_instant last hi_i < 0 then
+        pieces := TL.At (hi_i, at hi_i) :: TL.Span (last, hi_i, span last hi_i) :: !pieces
+    end;
+    List.rev !pieces
 
   (* Updates carry their own time (the paper's τ1 > current time); the
      caller advances past the preceding events first. *)

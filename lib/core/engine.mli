@@ -18,6 +18,7 @@
 
 module Make (B : Backend.S) : sig
   module C : module type of Curves.Make (B)
+  module TL : module type of struct include Timeline.Make (B) end
 
   type label =
     | Obj of Moq_mod.Oid.t * int
@@ -57,7 +58,15 @@ module Make (B : Backend.S) : sig
         (** event-queue/adjacency violations (stale or mistargeted) found *)
     mutable audit_dead : int;   (** dead entries found still mounted *)
     mutable audit_clock : int;  (** events found preceding the clock *)
+    mutable events : int;
+        (** events processed across all batches (Lemma 9's event count) *)
+    mutable event_comparisons : int;
+        (** comparisons spent inside batches — {!comparisons} minus the
+            initial sort and update-time work *)
   }
+
+  val summary : stats -> Explain.sweep
+  (** The counters as [moq explain]'s sweep block. *)
 
   (** Audit violations, typed by the invariant they break — the per-kind
       counters in {!stats} and the [moq_engine_audit_violation_*_total]
@@ -77,20 +86,13 @@ module Make (B : Backend.S) : sig
       attribution ({!hot_objects}); pass [false] to shave the per-comparison
       table probe off the hot path. *)
 
+  val hot_objects : t -> Explain.hot list
   (** Per-object attribution of the sweep's cost units: how many
       curve-order comparisons and adjacent transpositions each object
       participated in (a comparison bumps both participants, so the sum
       over objects is up to 2× {!stats}.comparisons — constant curves from
-      query terms carry the rest). *)
-  type hot = {
-    h_oid : Moq_mod.Oid.t;
-    h_comparisons : int;
-    h_swaps : int;
-  }
-
-  val hot_objects : t -> hot list
-  (** Every attributed object, hottest (most comparisons) first; [[]] when
-      attribution is off. *)
+      query terms carry the rest).  Hottest (most comparisons, then most
+      swaps) first; [[]] when attribution is off. *)
 
   val now : t -> B.instant
   val stats : t -> stats
@@ -126,6 +128,17 @@ module Make (B : Backend.S) : sig
       called per the [step] protocol; the final span up to [upto] is {e not}
       emitted (callers close it — they know whether [upto] is an update time
       or the query horizon). *)
+
+  val timeline :
+    t -> lo:Moq_numeric.Rat.t -> hi:Moq_numeric.Rat.t ->
+    span:(B.instant -> B.instant -> Moq_mod.Oid.Set.t) ->
+    at:(B.instant -> Moq_mod.Oid.Set.t) -> TL.t
+  (** Sweep an engine created at [lo] up to [hi], reading an answer off
+      every piece (Lemma 8: the answer is constant between events): the
+      instant [lo], each span and event instant {!advance} emits, then the
+      closing span and the instant [hi].  [span a b] and [at i] see the
+      engine in that piece's order.  The pieces are chronological and not
+      yet {!TL.simplify}'d. *)
 
   (* Update-time mutations (the paper's three cases).  Each runs in
      O(log N) plus rescheduling, per Lemma 9. *)

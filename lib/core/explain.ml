@@ -88,9 +88,13 @@ let lemma9_bound ~n_objects =
 let counter counters name =
   match List.assoc_opt name counters with Some v -> v | None -> 0.
 
+let no_sweep =
+  { batches = 0; crossings = 0; births = 0; deaths = 0; jumps = 0; swaps = 0;
+    comparisons = 0; support_changes = 0 }
+
 let make ~kind ~query ~backend ?(classification = "n/a") ~n_objects ~lo ~hi
-    ~timeline_pieces ~sweep ?filter ?shards ?agg ?(hot = []) ?(phases = [])
-    ~counters () =
+    ~timeline_pieces ?(sweep = no_sweep) ?filter ?shards ?agg ?(hot = [])
+    ?(phases = []) ~counters () =
   let events = int_of_float (counter counters "moq_sweep_events_total") in
   let event_comparisons =
     int_of_float (counter counters "moq_sweep_comparisons_total")
@@ -106,25 +110,48 @@ let make ~kind ~query ~backend ?(classification = "n/a") ~n_objects ~lo ~hi
   { kind; query; backend; classification; n_objects; lo; hi; timeline_pieces;
     sweep; lemma9; filter; shards; agg; hot; phases; counters }
 
-let top_hot ?(k = 5) t =
-  let rec take n = function
-    | [] -> []
-    | _ when n = 0 -> []
-    | x :: tl -> x :: take (n - 1) tl
-  in
-  take (max 0 k) t.hot
+let rec take n = function
+  | x :: tl when n > 0 -> x :: take (n - 1) tl
+  | _ -> []
+
+let top_hot ?(k = 5) t = take k t.hot
+
+(* Comparisons attributed to the whole list and to its first five. *)
+let top5_share hot =
+  let sum = List.fold_left (fun a h -> a + h.comparisons) 0 in
+  (sum (take 5 hot), sum hot)
 
 let hot_coverage t =
-  let total =
-    List.fold_left (fun a h -> a + h.comparisons) 0 t.hot
-  in
-  if total = 0 then 0.
-  else begin
-    let top =
-      List.fold_left (fun a h -> a + h.comparisons) 0 (top_hot ~k:5 t)
-    in
-    float_of_int top /. float_of_int total
-  end
+  let top, total = top5_share t.hot in
+  if total = 0 then 0. else float_of_int top /. float_of_int total
+
+let merge_hot lists =
+  let tbl = Hashtbl.create 64 in
+  List.iter
+    (List.iter (fun h ->
+         let c, s = Option.value ~default:(0, 0) (Hashtbl.find_opt tbl h.oid) in
+         Hashtbl.replace tbl h.oid (c + h.comparisons, s + h.swaps)))
+    lists;
+  Hashtbl.fold (fun oid (comparisons, swaps) acc -> { oid; comparisons; swaps } :: acc) tbl []
+  |> List.sort (fun a b ->
+         match compare b.comparisons a.comparisons with
+         | 0 -> compare a.oid b.oid
+         | c -> c)
+
+(* Rank-indexed names keep the registry's flat namespace.  Rank gauges
+   left over from an earlier, longer list go stale at their old values;
+   readers key on the current ranks only. *)
+let publish_hot sink hot =
+  let set = Moq_obs.Sink.set sink in
+  List.iteri
+    (fun i h ->
+      set (Printf.sprintf "moq_hot_oid_%d" i) (float_of_int h.oid);
+      set (Printf.sprintf "moq_hot_comparisons_%d" i) (float_of_int h.comparisons);
+      set (Printf.sprintf "moq_hot_swaps_%d" i) (float_of_int h.swaps))
+    (take 5 hot);
+  let top, total = top5_share hot in
+  if total > 0 then
+    set "moq_hot_coverage_pct" (100. *. float_of_int top /. float_of_int total)
 
 (* ------------------------------------------------------------------ *)
 (* JSON                                                                *)

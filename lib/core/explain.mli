@@ -115,13 +115,15 @@ val lemma9_bound : n_objects:int -> float
 val make :
   kind:string -> query:string -> backend:string -> ?classification:string ->
   n_objects:int -> lo:float -> hi:float -> timeline_pieces:int ->
-  sweep:sweep -> ?filter:filter -> ?shards:shards -> ?agg:agg -> ?hot:hot list ->
+  ?sweep:sweep -> ?filter:filter -> ?shards:shards -> ?agg:agg -> ?hot:hot list ->
   ?phases:phase list ->
   counters:(string * float) list -> unit -> t
-(** Assemble a report.  The {!lemma9} block is derived here: events and
-    event-comparisons are read from the [moq_sweep_events_total] /
-    [moq_sweep_comparisons_total] counters (falling back to zero when the
-    run was unobserved), the bound from {!lemma9_bound}. *)
+(** Assemble a report ([sweep] defaults to all zeros: nothing was swept
+    here).  The {!lemma9}
+    block is derived here: events and event-comparisons are read from the
+    [moq_sweep_events_total] / [moq_sweep_comparisons_total] counters
+    (falling back to zero when the run was unobserved), the bound from
+    {!lemma9_bound}. *)
 
 val top_hot : ?k:int -> t -> hot list
 (** First [k] (default 5) hot objects. *)
@@ -129,6 +131,16 @@ val top_hot : ?k:int -> t -> hot list
 val hot_coverage : t -> float
 (** Fraction (0..1) of total attributed comparisons covered by the top-5
     hot objects; 0 when attribution is off or nothing was attributed. *)
+
+val merge_hot : hot list list -> hot list
+(** Sum several attributions per object (shard sweeps, live subscription
+    monitors), hottest first, ties by ascending OID. *)
+
+val publish_hot : Moq_obs.Sink.t -> hot list -> unit
+(** The top-5 hot objects as the rank-indexed gauges [moq_hot_oid_<r>],
+    [moq_hot_comparisons_<r>] and [moq_hot_swaps_<r>], plus
+    [moq_hot_coverage_pct] (their share of all attributed comparisons)
+    when anything was attributed. *)
 
 val to_json : t -> Moq_obs.Json.t
 (** Stable, golden-tested schema; top-level key [moq_explain = 3].

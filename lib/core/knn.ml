@@ -3,9 +3,10 @@
     the sweep's order structure instead of re-evaluating a formula, so each
     support change costs O(log N + k).
 
-    At event instants, objects tied with the k-th curve are all reported
-    (the crossing pair is momentarily equal — the paper's step 1 where
-    [o ≡_τ' o']). *)
+    Objects tied with the k-th curve are all reported: at an event instant
+    those equal to it there (the crossing pair is momentarily equal — the
+    paper's step 1 where [o ≡_τ' o']), on an open span those whose curve is
+    the k-th curve itself. *)
 
 module Oid = Moq_mod.Oid
 module Q = Moq_numeric.Rat
@@ -15,12 +16,12 @@ module Sink = Moq_obs.Sink
 module Make (B : Backend.S) = struct
   module E = Engine.Make (B)
   module C = E.C
-  module TL = Timeline.Make (B)
+  module TL = E.TL
 
   type result = {
     timeline : TL.t;
     stats : E.stats;
-    hot : E.hot list;  (** per-object cost attribution, hottest first *)
+    hot : Explain.hot list;  (** per-object cost attribution, hottest first *)
   }
 
   let oid_of e = match E.label e with E.Obj (o, _) -> Some o | E.Cst _ -> None
@@ -30,24 +31,28 @@ module Make (B : Backend.S) = struct
       (fun acc e -> match oid_of e with Some o -> Oid.Set.add o acc | None -> acc)
       Oid.Set.empty es
 
-  (* first k entries; at an instant, extend with the run of entries tied
-     with the k-th *)
-  let answer_span eng k = set_of_entries (E.first_n eng k)
+  (* [acc] plus the entries from rank [j] on whose curves [tied] pairs
+     with [c] (ties sit next to each other in the order). *)
+  let rec tied_run eng j ~tied c acc =
+    match E.nth_entry eng j with
+    | Some e when tied (E.curve e) c -> tied_run eng (j + 1) ~tied c (e :: acc)
+    | _ -> acc
 
-  let answer_at eng k i =
+  (* The first k entries, extended with the entries tied with the k-th. *)
+  let answer eng k ~tied =
     let firsts = E.first_n eng k in
-    let n = List.length firsts in
-    if n < k then set_of_entries firsts
-    else begin
-      let kth = List.nth firsts (k - 1) in
-      let rec extend j acc =
-        match E.nth_entry eng j with
-        | Some e when C.diff_sign_at (E.curve e) (E.curve kth) i = 0 ->
-          extend (j + 1) (e :: acc)
-        | _ -> acc
-      in
-      set_of_entries (extend k firsts)
-    end
+    if List.length firsts < k then set_of_entries firsts
+    else set_of_entries (tied_run eng k ~tied (E.curve (List.nth firsts (k - 1))) firsts)
+
+  (* On the open span that starts at the engine clock: curves identical to
+     the k-th's just after it.  Curves that separate schedule an event where
+     they do, so the identity holds across the span; a tangency is no tie,
+     its curves differ. *)
+  let answer_span eng k =
+    let a = E.now eng in
+    answer eng k ~tied:(fun c kth -> C.identical_after c kth a)
+
+  let answer_at eng k i = answer eng k ~tied:(fun c kth -> C.diff_sign_at c kth i = 0)
 
   let entries ~(db : DB.t) ~(gdist : Gdist.t) =
     List.map
@@ -58,33 +63,18 @@ module Make (B : Backend.S) = struct
     E.create ~sink ~start:(B.scalar_of_rat lo) ~horizon:(B.scalar_of_rat hi)
       (entries ~db ~gdist)
 
+  (* The k-NN pieces of a sweep over [lo, hi] (not simplified). *)
+  let pieces eng ~k ~lo ~hi =
+    E.timeline eng ~lo ~hi ~span:(fun _ _ -> answer_span eng k) ~at:(answer_at eng k)
+
   let run_obs ~(sink : Sink.t) ~(db : DB.t) ~(gdist : Gdist.t) ~(k : int)
       ~(lo : Q.t) ~(hi : Q.t) : result =
     if k <= 0 then invalid_arg "Knn.run: k must be positive";
     Sink.count sink "moq_query_knn_total" 1;
     Sink.time sink "moq_query_knn_seconds" @@ fun () ->
     let eng = engine ~sink ~db ~gdist ~lo ~hi () in
-    let pieces = ref [] in
-    let emit = function
-      | E.Span (a, b) -> pieces := TL.Span (a, b, answer_span eng k) :: !pieces
-      | E.Point i -> pieces := TL.At (i, answer_at eng k i) :: !pieces
-    in
-    let lo_i = B.instant_of_scalar (B.scalar_of_rat lo) in
-    let hi_s = B.scalar_of_rat hi in
-    let hi_i = B.instant_of_scalar hi_s in
-    pieces := [ TL.At (lo_i, answer_at eng k lo_i) ];
-    if Q.compare lo hi < 0 then begin
-      E.advance eng ~upto:hi_s ~emit;
-      let last = E.now eng in
-      if B.compare_instant last hi_i < 0 then begin
-        pieces :=
-          TL.At (hi_i, answer_at eng k hi_i)
-          :: TL.Span (last, hi_i, answer_span eng k)
-          :: !pieces
-      end
-    end;
-    { timeline = TL.simplify (List.rev !pieces); stats = E.stats eng;
-      hot = E.hot_objects eng }
+    let timeline = TL.simplify (pieces eng ~k ~lo ~hi) in
+    { timeline; stats = E.stats eng; hot = E.hot_objects eng }
 
   let run ~db ~gdist ~k ~lo ~hi = run_obs ~sink:Sink.noop ~db ~gdist ~k ~lo ~hi
 end

@@ -6,76 +6,51 @@
 module Oid = Moq_mod.Oid
 module Q = Moq_numeric.Rat
 module DB = Moq_mod.Mobdb
+module Sink = Moq_obs.Sink
 
 module Make (B : Backend.S) = struct
-  module E = Engine.Make (B)
-  module C = E.C
-  module TL = Timeline.Make (B)
+  module K = Knn.Make (B)
+  module E = K.E
+  module TL = E.TL
 
   type result = {
     timeline : TL.t;
     stats : E.stats;
+    hot : Explain.hot list;  (** per-object cost attribution, hottest first *)
   }
-
-  let oid_of e = match E.label e with E.Obj (o, _) -> Some o | E.Cst _ -> None
-
-  let set_of_entries es =
-    List.fold_left
-      (fun acc e -> match oid_of e with Some o -> Oid.Set.add o acc | None -> acc)
-      Oid.Set.empty es
 
   (* Objects at or below the bound.  On open spans the rank of the bound
      entry suffices: an object curve identically equal to the bound ties and
      is ordered before the constant (Obj < Cst in the stable label order),
      so <=-semantics still include it.  At instants we additionally take the
-     run of entries tied with the bound. *)
-  let run ~(db : DB.t) ~(gdist : Gdist.t) ~(bound : Q.t) ~(lo : Q.t) ~(hi : Q.t) : result =
+     run of entries tied with the bound, which sit just after it. *)
+  let run_obs ~(sink : Sink.t) ~(db : DB.t) ~(gdist : Gdist.t) ~(bound : Q.t)
+      ~(lo : Q.t) ~(hi : Q.t) : result =
     let entries =
       (E.Cst bound, B.PW.constant ~start:(B.scalar_of_rat lo) (B.scalar_of_rat bound))
-      :: List.map
-           (fun (o, tr) -> (E.Obj (o, 0), B.curve_of_qpiece (Gdist.curve gdist tr)))
-           (DB.objects db)
+      :: K.entries ~db ~gdist
     in
-    let eng = E.create ~start:(B.scalar_of_rat lo) ~horizon:(B.scalar_of_rat hi) entries in
+    let eng =
+      E.create ~sink ~start:(B.scalar_of_rat lo) ~horizon:(B.scalar_of_rat hi) entries
+    in
     let bound_entry () =
       match E.find eng (E.Cst bound) with
       | Some e -> e
       | None -> invalid_arg "Range_query: bound curve missing"
     in
-    let answer_span () =
-      let be = bound_entry () in
-      set_of_entries (E.first_n eng (E.rank_of eng be))
+    let answer_span _ _ =
+      K.set_of_entries (E.first_n eng (E.rank_of eng (bound_entry ())))
     in
     let answer_at i =
       let be = bound_entry () in
       let r = E.rank_of eng be in
-      let below = E.first_n eng r in
-      (* entries tied with the bound at [i] sit just after it in the order *)
-      let rec extend j acc =
-        match E.nth_entry eng j with
-        | Some e when C.diff_sign_at (E.curve e) (E.curve be) i = 0 -> extend (j + 1) (e :: acc)
-        | _ -> acc
-      in
-      (* also those just before the bound and equal to it at i are already in
-         [below]; collect ties after the bound *)
-      set_of_entries (extend (r + 1) below)
+      let tied c b = E.C.diff_sign_at c b i = 0 in
+      K.set_of_entries (K.tied_run eng (r + 1) ~tied (E.curve be) (E.first_n eng r))
     in
-    let pieces = ref [] in
-    let emit = function
-      | E.Span (a, b) -> pieces := TL.Span (a, b, answer_span ()) :: !pieces
-      | E.Point i -> pieces := TL.At (i, answer_at i) :: !pieces
+    let pieces =
+      E.timeline eng ~lo ~hi ~span:answer_span ~at:answer_at
     in
-    let lo_i = B.instant_of_scalar (B.scalar_of_rat lo) in
-    let hi_s = B.scalar_of_rat hi in
-    let hi_i = B.instant_of_scalar hi_s in
-    pieces := [ TL.At (lo_i, answer_at lo_i) ];
-    if Q.compare lo hi < 0 then begin
-      E.advance eng ~upto:hi_s ~emit;
-      let last = E.now eng in
-      if B.compare_instant last hi_i < 0 then begin
-        pieces :=
-          TL.At (hi_i, answer_at hi_i) :: TL.Span (last, hi_i, answer_span ()) :: !pieces
-      end
-    end;
-    { timeline = TL.simplify (List.rev !pieces); stats = E.stats eng }
+    { timeline = TL.simplify pieces; stats = E.stats eng; hot = E.hot_objects eng }
+
+  let run ~db ~gdist ~bound ~lo ~hi = run_obs ~sink:Sink.noop ~db ~gdist ~bound ~lo ~hi
 end

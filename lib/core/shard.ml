@@ -13,25 +13,15 @@ module Grid = Moq_index.Grid
 module Sink = Moq_obs.Sink
 
 module Make (B : Backend.S) = struct
-  module E = Engine.Make (B)
-  module C = E.C
-  module TL = Timeline.Make (B)
-
-  type shard_stats = {
-    shards_total : int;
-    shards_touched : int;
-    admitted : int;
-    pruned : int;
-    frontier_merge_ops : int;
-    shard_events : int;
-    band : float option;
-  }
+  module K = Knn.Make (B)
+  module E = K.E
+  module TL = E.TL
 
   type result = {
     timeline : TL.t;
     stats : E.stats;
-    shard : shard_stats;
-    hot : E.hot list;
+    shard : Explain.shards;
+    hot : Explain.hot list;
   }
 
   let default_cell = 64.0
@@ -115,42 +105,24 @@ module Make (B : Backend.S) = struct
   (* Frontier extraction                                               *)
   (* ---------------------------------------------------------------- *)
 
-  (* A shard sweep admits its local top-k on every span, extended with
-     local k-th ties at event instants — the smallest set guaranteed to
-     contain every shard member that can ever appear in the global
-     answer. *)
+  (* A shard sweep admits every object of its local k-NN answer — the
+     local top-k, extended with local k-th ties — on every span and
+     instant: the smallest set guaranteed to contain every shard member
+     that can ever appear in the global answer.  No timeline is built, and
+     the closing span needs no clock test (the clock stays before [hi]). *)
   let sweep_shard ~sink ~admit ~k ~lo ~hi entries =
     let eng = E.create ~sink ~start:(B.scalar_of_rat lo)
         ~horizon:(B.scalar_of_rat hi) entries
     in
-    let admit_entry e = admit (E.label e) in
-    let frontier_span () = List.iter admit_entry (E.first_n eng k) in
-    let frontier_at i =
-      let firsts = E.first_n eng k in
-      List.iter admit_entry firsts;
-      if List.length firsts >= k then begin
-        let kth = List.nth firsts (k - 1) in
-        let rec extend j =
-          match E.nth_entry eng j with
-          | Some e when C.diff_sign_at (E.curve e) (E.curve kth) i = 0 ->
-            admit_entry e;
-            extend (j + 1)
-          | _ -> ()
-        in
-        extend k
-      end
-    in
-    let lo_i = B.instant_of_scalar (B.scalar_of_rat lo) in
-    frontier_at lo_i;
+    let admit_all s = Oid.Set.iter admit s in
+    let at q = admit_all (K.answer_at eng k (B.instant_of_scalar (B.scalar_of_rat q))) in
+    at lo;
     if Q.compare lo hi < 0 then begin
-      let emit = function
-        | E.Span (_, _) -> frontier_span ()
-        | E.Point i -> frontier_at i
-      in
-      E.advance eng ~upto:(B.scalar_of_rat hi) ~emit;
-      (* the final span up to the horizon, and the horizon instant *)
-      frontier_span ();
-      frontier_at (B.instant_of_scalar (B.scalar_of_rat hi))
+      E.advance eng ~upto:(B.scalar_of_rat hi) ~emit:(function
+        | E.Span _ -> admit_all (K.answer_span eng k)
+        | E.Point i -> admit_all (K.answer_at eng k i));
+      admit_all (K.answer_span eng k);
+      at hi
     end;
     eng
 
@@ -162,7 +134,7 @@ module Make (B : Backend.S) = struct
     { E.crossings = 0; swaps = 0; births = 0; deaths = 0; batches = 0;
       jumps = 0; comparisons = 0; audit_failures = 0; rebuilds = 0;
       audit_structure = 0; audit_order = 0; audit_event = 0; audit_dead = 0;
-      audit_clock = 0 }
+      audit_clock = 0; events = 0; event_comparisons = 0 }
 
   let accumulate acc (s : E.stats) =
     acc.E.crossings <- acc.E.crossings + s.E.crossings;
@@ -173,20 +145,12 @@ module Make (B : Backend.S) = struct
     acc.E.jumps <- acc.E.jumps + s.E.jumps;
     acc.E.comparisons <- acc.E.comparisons + s.E.comparisons;
     acc.E.audit_failures <- acc.E.audit_failures + s.E.audit_failures;
-    acc.E.rebuilds <- acc.E.rebuilds + s.E.rebuilds
+    acc.E.rebuilds <- acc.E.rebuilds + s.E.rebuilds;
+    acc.E.events <- acc.E.events + s.E.events;
+    acc.E.event_comparisons <- acc.E.event_comparisons + s.E.event_comparisons
 
   let events_of (s : E.stats) =
     s.E.crossings + s.E.births + s.E.deaths + s.E.jumps
-
-  let merge_hot tbl hots =
-    List.iter
-      (fun (h : E.hot) ->
-        let c, s =
-          Option.value ~default:(0, 0) (Hashtbl.find_opt tbl h.E.h_oid)
-        in
-        Hashtbl.replace tbl h.E.h_oid
-          (c + h.E.h_comparisons, s + h.E.h_swaps))
-      hots
 
   let run_obs ~(sink : Sink.t) ~(db : DB.t) ~(gamma : T.t) ~(k : int)
       ~(lo : Q.t) ~(hi : Q.t) ?(cell = default_cell) () : result =
@@ -202,11 +166,9 @@ module Make (B : Backend.S) = struct
     let shards = Grid.shards grid in
     let admitted = Hashtbl.create 64 in
     let merge_ops = ref 0 in
-    let admit = function
-      | E.Obj (o, _) ->
-        incr merge_ops;
-        if not (Hashtbl.mem admitted o) then Hashtbl.add admitted o ()
-      | E.Cst _ -> ()
+    let admit o =
+      incr merge_ops;
+      if not (Hashtbl.mem admitted o) then Hashtbl.add admitted o ()
     in
     let entries_of oids =
       List.filter_map
@@ -217,7 +179,7 @@ module Make (B : Backend.S) = struct
         oids
     in
     let stats = zero_stats () in
-    let hot_tbl = Hashtbl.create 64 in
+    let hots = ref [] in
     let touched = ref 0 in
     let shard_events = ref 0 in
     (Sink.time sink "moq_shard_sweep_seconds" @@ fun () ->
@@ -238,7 +200,7 @@ module Make (B : Backend.S) = struct
            let s = E.stats eng in
            shard_events := !shard_events + events_of s;
            accumulate stats s;
-           merge_hot hot_tbl (E.hot_objects eng)
+           hots := E.hot_objects eng :: !hots
          end)
        shards);
     (* Merge sweep over the admitted union: the same emit protocol as the
@@ -249,77 +211,26 @@ module Make (B : Backend.S) = struct
     let eng = E.create ~sink ~start:(B.scalar_of_rat lo)
         ~horizon:(B.scalar_of_rat hi) (entries_of admitted_oids)
     in
-    let oid_of e = match E.label e with E.Obj (o, _) -> Some o | E.Cst _ -> None in
-    let set_of_entries es =
-      List.fold_left
-        (fun acc e ->
-          match oid_of e with Some o -> Oid.Set.add o acc | None -> acc)
-        Oid.Set.empty es
-    in
-    let answer_span () = set_of_entries (E.first_n eng k) in
-    let answer_at i =
-      let firsts = E.first_n eng k in
-      let n = List.length firsts in
-      if n < k then set_of_entries firsts
-      else begin
-        let kth = List.nth firsts (k - 1) in
-        let rec extend j acc =
-          match E.nth_entry eng j with
-          | Some e when C.diff_sign_at (E.curve e) (E.curve kth) i = 0 ->
-            extend (j + 1) (e :: acc)
-          | _ -> acc
-        in
-        set_of_entries (extend k firsts)
-      end
-    in
-    let pieces = ref [] in
-    let emit = function
-      | E.Span (a, b) -> pieces := TL.Span (a, b, answer_span ()) :: !pieces
-      | E.Point i -> pieces := TL.At (i, answer_at i) :: !pieces
-    in
-    let lo_i = B.instant_of_scalar (B.scalar_of_rat lo) in
-    let hi_s = B.scalar_of_rat hi in
-    let hi_i = B.instant_of_scalar hi_s in
-    pieces := [ TL.At (lo_i, answer_at lo_i) ];
-    if Q.compare lo hi < 0 then begin
-      E.advance eng ~upto:hi_s ~emit;
-      let last = E.now eng in
-      if B.compare_instant last hi_i < 0 then
-        pieces :=
-          TL.At (hi_i, answer_at hi_i)
-          :: TL.Span (last, hi_i, answer_span ())
-          :: !pieces
-    end;
-    let merge_stats = E.stats eng in
-    accumulate stats merge_stats;
-    merge_hot hot_tbl (E.hot_objects eng);
+    let timeline = TL.simplify (K.pieces eng ~k ~lo ~hi) in
+    accumulate stats (E.stats eng);
+    let hot = Explain.merge_hot (E.hot_objects eng :: !hots) in
     let n_admitted = List.length admitted_oids in
     let shard =
-      { shards_total = List.length shards;
-        shards_touched = !touched;
-        admitted = n_admitted;
-        pruned = Grid.population grid - n_admitted;
-        frontier_merge_ops = !merge_ops;
-        shard_events = !shard_events;
-        band = Option.map Q.to_float band }
+      { Explain.s_total = List.length shards;
+        s_touched = !touched;
+        s_admitted = n_admitted;
+        s_pruned = Grid.population grid - n_admitted;
+        s_merge_ops = !merge_ops;
+        s_events = !shard_events;
+        s_band = Option.map Q.to_float band }
     in
-    Sink.set sink "moq_shard_shards" (float_of_int shard.shards_total);
-    Sink.count sink "moq_shard_touched_total" shard.shards_touched;
-    Sink.count sink "moq_shard_admissions_total" shard.admitted;
-    Sink.count sink "moq_shard_prunes_total" shard.pruned;
-    Sink.count sink "moq_shard_frontier_merge_ops_total" shard.frontier_merge_ops;
-    Sink.count sink "moq_shard_events_total" shard.shard_events;
-    let hot =
-      Hashtbl.fold
-        (fun o (c, s) acc ->
-          { E.h_oid = o; h_comparisons = c; h_swaps = s } :: acc)
-        hot_tbl []
-      |> List.sort (fun (a : E.hot) b ->
-             match compare b.E.h_comparisons a.E.h_comparisons with
-             | 0 -> Oid.compare a.E.h_oid b.E.h_oid
-             | c -> c)
-    in
-    { timeline = TL.simplify (List.rev !pieces); stats; shard; hot }
+    Sink.set sink "moq_shard_shards" (float_of_int shard.s_total);
+    Sink.count sink "moq_shard_touched_total" shard.s_touched;
+    Sink.count sink "moq_shard_admissions_total" shard.s_admitted;
+    Sink.count sink "moq_shard_prunes_total" shard.s_pruned;
+    Sink.count sink "moq_shard_frontier_merge_ops_total" shard.s_merge_ops;
+    Sink.count sink "moq_shard_events_total" shard.s_events;
+    { timeline; stats; shard; hot }
 
   let run ~db ~gamma ~k ~lo ~hi ?cell () =
     run_obs ~sink:Sink.noop ~db ~gamma ~k ~lo ~hi ?cell ()

@@ -19,8 +19,8 @@
       shard; its members' curves are never constructed.
     + {b Shard sweeps}: each surviving shard runs its own independent
       order-list/event-queue ({!Engine.Make}) over only its members, and
-      emits its {e candidate frontier}: the shard-local top-k on every
-      span, extended with shard-local k-th ties at event instants.
+      emits its {e candidate frontier}: the shard-local k-NN answer
+      ({!Knn}'s, ties with the k-th included) on every span and instant.
     + {b Merge}: an object enters the final order list only if some shard's
       frontier admitted it.  One small merge sweep over the admitted union
       produces the global timeline.
@@ -45,29 +45,16 @@
 module Q = Moq_numeric.Rat
 
 module Make (B : Backend.S) : sig
-  module E : module type of Engine.Make (B)
-  module TL : module type of Timeline.Make (B)
-
-  (** Pruning-effectiveness accounting for one run (the [moq_shard_*]
-      counters and the [moq explain] shards block read these). *)
-  type shard_stats = {
-    shards_total : int;  (** home shards in the index *)
-    shards_touched : int;  (** shards actually swept *)
-    admitted : int;  (** objects admitted into the merge sweep *)
-    pruned : int;  (** objects never admitted (band- or frontier-pruned) *)
-    frontier_merge_ops : int;
-        (** frontier labels offered to the admitted union *)
-    shard_events : int;  (** events across all shard sweeps *)
-    band : float option;
-        (** the band bound B (squared distance), as a float for display;
-            [None] when no sound band was found (everything swept) *)
-  }
+  module E : module type of struct include Engine.Make (B) end
+  module TL : module type of struct include Timeline.Make (B) end
 
   type result = {
     timeline : TL.t;  (** bit-identical to {!Knn.run_obs} on the full DB *)
     stats : E.stats;  (** aggregate over shard sweeps + merge sweep *)
-    shard : shard_stats;
-    hot : E.hot list;  (** aggregate per-object attribution, hottest first *)
+    shard : Explain.shards;
+        (** pruning-effectiveness accounting (the [moq_shard_*] counters
+            carry the same numbers) *)
+    hot : Explain.hot list;  (** aggregate per-object attribution, hottest first *)
   }
 
   val run_obs :

@@ -7,7 +7,6 @@
     support change. *)
 
 module Oid = Moq_mod.Oid
-module Q = Moq_numeric.Rat
 module DB = Moq_mod.Mobdb
 module Sink = Moq_obs.Sink
 
@@ -15,13 +14,13 @@ module Make (B : Backend.S) = struct
   module E = Engine.Make (B)
   module P = Problem.Make (B)
   module S = P.S
-  module TL = Timeline.Make (B)
+  module TL = E.TL
 
   type result = {
     timeline : TL.t;
     stats : E.stats;
     support_changes : int;  (** the paper's m *)
-    hot : E.hot list;  (** per-object cost attribution, hottest first *)
+    hot : Explain.hot list;  (** per-object cost attribution, hottest first *)
   }
 
   let interval_bounds (q : Fof.query) =
@@ -41,29 +40,12 @@ module Make (B : Backend.S) = struct
     in
     let ctx = P.snapshot_ctx p in
     let answer i = S.answer_at ctx query i in
-    let pieces = ref [] in
-    let emit = function
-      | E.Span (a, b) ->
-        let sample = B.instant_of_scalar (B.between a b) in
-        pieces := TL.Span (a, b, answer sample) :: !pieces
-      | E.Point i -> pieces := TL.At (i, answer i) :: !pieces
+    let pieces =
+      E.timeline eng ~lo ~hi ~at:answer
+        ~span:(fun a b -> answer (B.instant_of_scalar (B.between a b)))
     in
-    let lo_i = B.instant_of_scalar (B.scalar_of_rat lo) in
-    let hi_s = B.scalar_of_rat hi in
-    let hi_i = B.instant_of_scalar hi_s in
-    pieces := [ TL.At (lo_i, answer lo_i) ];
-    if Q.compare lo hi < 0 then begin
-      E.advance eng ~upto:hi_s ~emit;
-      (* close the final span *)
-      let last = E.now eng in
-      if B.compare_instant last hi_i < 0 then begin
-        let sample = B.instant_of_scalar (B.between last hi_i) in
-        pieces := TL.At (hi_i, answer hi_i) :: TL.Span (last, hi_i, answer sample) :: !pieces
-      end
-    end;
-    let timeline = TL.simplify (List.rev !pieces) in
     let stats = E.stats eng in
-    { timeline; stats;
+    { timeline = TL.simplify pieces; stats;
       support_changes = stats.E.crossings + stats.E.births + stats.E.deaths;
       hot = E.hot_objects eng }
 

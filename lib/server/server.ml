@@ -23,8 +23,8 @@ module BX = Moq_core.Backend.Exact
 module Agg = Moq_agg.Agg
 module AggX = Moq_agg.Agg.Make (BX)
 module Mon = Moq_core.Monitor.Make (BX)
-module Knn = Moq_core.Knn.Make (BX)
-module Range = Moq_core.Range_query.Make (BX)
+module Exec = Moq_core.Exec
+module X = Exec.Make (BX)
 module Fof = Moq_core.Fof
 module Gdist = Moq_core.Gdist
 module TL = Mon.TL
@@ -122,10 +122,6 @@ type sub_body = S_mon of Mon.t | S_agg of AggX.Cont.t
 type sub = {
   sub_id : int;
   sub_hi : Q.t;
-  sub_shard : int * int;
-      (* home cell of the subscription's reference trajectory under the
-         affinity grid — the routing key a shard-affine worker pool
-         (ROADMAP item 2) partitions subscriptions by *)
   body : sub_body;
   mutable next_seq : int;
 }
@@ -352,52 +348,6 @@ let gdist_of_kind t = function
        builds one monitor per POI inside Agg.Cont instead *)
     invalid_arg "agg subscriptions have no single g-distance"
 
-(* Shard affinity.  Subscriptions and updates both hash to a cell of one
-   coarse affinity grid; an update whose object moves in (or next to) a
-   subscription's cell is shard-local to it.  Today this only drives the
-   moq_server_shard_{local,remote}_updates_total counters — the measured
-   case for the shard-affine worker pool of ROADMAP item 2, which will
-   route each update to the worker owning its cell. *)
-let affinity_cell = 256.0
-
-let affinity_shard_of_pos pos =
-  let x = Q.to_float (Qvec.get pos 0) in
-  let y = if Qvec.dim pos >= 2 then Q.to_float (Qvec.get pos 1) else 0.0 in
-  Moq_index.Grid.cell_of ~cell:affinity_cell (x, y)
-
-(* The cell of the subscription's reference trajectory when the
-   subscription starts.  Speed-relative subscriptions have no spatial
-   anchor; they share the origin cell. *)
-let affinity_shard_of_sub t kind ~lo =
-  match kind with
-  | Proto.Sub_gdist (Proto.Speed_sq, _) -> affinity_shard_of_pos (Qvec.zero t.dim)
-  | Proto.Sub_agg { pois; _ } ->
-    (* anchored at the first POI; a multi-POI subscription has no single
-       home cell, but the first is as good a routing key as any *)
-    (match pois with
-     | (x :: rest) :: _ ->
-       let y = match rest with y :: _ -> y | [] -> Q.zero in
-       Moq_index.Grid.cell_of ~cell:affinity_cell (Q.to_float x, Q.to_float y)
-     | _ -> affinity_shard_of_pos (Qvec.zero t.dim))
-  | Proto.Sub_knn _ | Proto.Sub_range _ | Proto.Sub_gdist (Proto.Euclidean_sq, _) ->
-    let gamma = origin_gamma t.dim in
-    let at = Q.max lo gamma_start in
-    if T.defined_at gamma at then affinity_shard_of_pos (T.position_exn gamma at)
-    else affinity_shard_of_pos (Qvec.zero t.dim)
-
-(* The cell the updated object lands in, from the post-commit MOD.  None
-   when the update leaves the object undefined at its own timestamp (a
-   deletion). *)
-let affinity_shard_of_update t u =
-  match DB.find (Store.db t.store) (U.oid u) with
-  | None -> None
-  | Some tr ->
-    let at = U.time u in
-    if T.defined_at tr at then Some (affinity_shard_of_pos (T.position_exn tr at))
-    else None
-
-let shard_local (ai, aj) (bi, bj) = abs (ai - bi) <= 1 && abs (aj - bj) <= 1
-
 let query_of_kind kind ~lo ~hi =
   let interval = Fof.Interval.closed lo hi in
   match kind with
@@ -474,16 +424,10 @@ let push_fresh ?trace t sess sub =
 
 (* t.lock held: apply one accepted update to every live subscription. *)
 let fanout ?trace t u =
-  let ushard = affinity_shard_of_update t u in
   List.iter
     (fun sess ->
       List.iter
         (fun sub ->
-          (match ushard with
-           | Some c when shard_local c sub.sub_shard ->
-             Sink.count t.sink "moq_server_shard_local_updates_total" 1
-           | Some _ | None ->
-             Sink.count t.sink "moq_server_shard_remote_updates_total" 1);
           let t0 = Unix.gettimeofday () in
           (match
              match sub.body with
@@ -647,43 +591,17 @@ let update_gauges t =
    publish simply go stale at their old values — readers key on the
    current ranks 0..4 only. *)
 let publish_hot t =
-  let tbl = Hashtbl.create 64 in
-  List.iter
-    (fun sess ->
-      List.iter
-        (fun sub ->
-          match sub.body with
-          | S_agg _ -> ()
-          | S_mon mon ->
-            List.iter
-              (fun (h : Mon.E.hot) ->
-                let c, s =
-                  match Hashtbl.find_opt tbl h.Mon.E.h_oid with
-                  | Some cs -> cs
-                  | None -> (0, 0)
-                in
-                Hashtbl.replace tbl h.Mon.E.h_oid
-                  (c + h.Mon.E.h_comparisons, s + h.Mon.E.h_swaps))
-              (Mon.hot_objects mon))
-        sess.subs)
-    t.sessions;
-  let rows = Hashtbl.fold (fun oid (c, s) acc -> (oid, c, s) :: acc) tbl [] in
-  let rows = List.sort (fun (_, c1, _) (_, c2, _) -> compare c2 c1) rows in
-  let total = List.fold_left (fun a (_, c, _) -> a + c) 0 rows in
-  let top = ref 0 in
-  List.iteri
-    (fun i (oid, c, s) ->
-      if i < 5 then begin
-        top := !top + c;
-        Sink.set t.sink (Printf.sprintf "moq_hot_oid_%d" i) (float_of_int oid);
-        Sink.set t.sink (Printf.sprintf "moq_hot_comparisons_%d" i)
-          (float_of_int c);
-        Sink.set t.sink (Printf.sprintf "moq_hot_swaps_%d" i) (float_of_int s)
-      end)
-    rows;
-  if total > 0 then
-    Sink.set t.sink "moq_hot_coverage_pct"
-      (100. *. float_of_int !top /. float_of_int total);
+  Explain.publish_hot t.sink
+    (Explain.merge_hot
+       (List.concat_map
+          (fun sess ->
+            List.filter_map
+              (fun sub ->
+                match sub.body with
+                | S_mon mon -> Some (Mon.hot_objects mon)
+                | S_agg _ -> None)
+              sess.subs)
+          t.sessions));
   let subs =
     with_lock t.acct_m (fun () ->
         Hashtbl.fold
@@ -807,24 +725,11 @@ let dispatch t sess (req : Proto.request) (attrs : Proto.attrs) ~arrival =
           | body ->
             let sub_id = t.next_sub in
             t.next_sub <- t.next_sub + 1;
-            let sub_shard = affinity_shard_of_sub t kind ~lo in
-            let sub = { sub_id; sub_hi = hi; sub_shard; body; next_seq = 0 } in
+            let sub = { sub_id; sub_hi = hi; body; next_seq = 0 } in
             sess.subs <- sub :: sess.subs;
             Sink.count t.sink "moq_server_subscriptions_total" 1;
-            let si, sj = sub_shard in
-            (* distinct shards with a live subscription: the worker-pool
-               size a shard-affine fanout would need right now *)
-            let shards =
-              List.sort_uniq compare
-                (List.concat_map
-                   (fun s -> List.map (fun su -> su.sub_shard) s.subs)
-                   t.sessions)
-            in
-            Sink.set t.sink "moq_server_sub_shards"
-              (float_of_int (List.length shards));
             record t "subscribe"
-              [ ("sub", Json.Int sub_id); ("session", Json.Int sess.sid);
-                ("shard_i", Json.Int si); ("shard_j", Json.Int sj) ];
+              [ ("sub", Json.Int sub_id); ("session", Json.Int sess.sid) ];
             (* response first, then any already-valid prefix as events —
                same lock scope, so no update can interleave *)
             enqueue_msg t sess (Proto.R_subscribe { sub = sub_id });
@@ -852,77 +757,24 @@ let dispatch t sess (req : Proto.request) (attrs : Proto.attrs) ~arrival =
     record_link t attrs ~arrival;
     (* snapshot under the lock, sweep outside it: the MOD is persistent *)
     let db = with_lock t.lock (fun () -> Store.db t.store) in
-    let gdist = Gdist.euclidean_sq ~gamma:(origin_gamma t.dim) in
-    let cval name = Option.value ~default:0 (Registry.counter_value t.reg name) in
-    let ev0 = cval "moq_sweep_events_total" in
-    let cmp0 = cval "moq_sweep_comparisons_total" in
     let t0 = Unix.gettimeofday () in
-    (* the explain report is only assembled when the run turns out slow;
-       each arm returns the timeline plus a thunk that builds it *)
-    let timeline, mk_explain =
+    let query, describe =
       match kind with
-      | Proto.Qk_knn k ->
-        let r = Knn.run_obs ~sink:t.sink ~db ~gdist ~k ~lo ~hi in
-        let s = r.Knn.stats in
-        ( r.Knn.timeline,
-          fun ~counters ~phases ->
-            let sweep =
-              { Explain.batches = s.Knn.E.batches; crossings = s.Knn.E.crossings;
-                births = s.Knn.E.births; deaths = s.Knn.E.deaths;
-                jumps = s.Knn.E.jumps; swaps = s.Knn.E.swaps;
-                comparisons = s.Knn.E.comparisons;
-                support_changes =
-                  s.Knn.E.crossings + s.Knn.E.births + s.Knn.E.deaths }
-            in
-            let hot =
-              List.map
-                (fun (h : Knn.E.hot) ->
-                  { Explain.oid = h.Knn.E.h_oid;
-                    comparisons = h.Knn.E.h_comparisons;
-                    swaps = h.Knn.E.h_swaps })
-                r.Knn.hot
-            in
-            Explain.make ~kind:"knn"
-              ~query:(Printf.sprintf "server query knn k=%d" k)
-              ~backend:"exact" ~n_objects:(List.length (DB.objects db))
-              ~lo:(Q.to_float lo) ~hi:(Q.to_float hi)
-              ~timeline_pieces:(List.length r.Knn.timeline) ~sweep ~hot
-              ~phases ~counters () )
+      | Proto.Qk_knn k -> (Exec.Knn k, Printf.sprintf "server query knn k=%d" k)
       | Proto.Qk_range b ->
-        let r = Range.run ~db ~gdist ~bound:b ~lo ~hi in
-        let s = r.Range.stats in
-        ( r.Range.timeline,
-          fun ~counters ~phases ->
-            let sweep =
-              { Explain.batches = s.Range.E.batches;
-                crossings = s.Range.E.crossings; births = s.Range.E.births;
-                deaths = s.Range.E.deaths; jumps = s.Range.E.jumps;
-                swaps = s.Range.E.swaps; comparisons = s.Range.E.comparisons;
-                support_changes =
-                  s.Range.E.crossings + s.Range.E.births + s.Range.E.deaths }
-            in
-            Explain.make ~kind:"range"
-              ~query:(Printf.sprintf "server query range bound=%s" (Q.to_string b))
-              ~backend:"exact" ~n_objects:(List.length (DB.objects db))
-              ~lo:(Q.to_float lo) ~hi:(Q.to_float hi)
-              ~timeline_pieces:(List.length r.Range.timeline) ~sweep
-              ~phases ~counters () )
+        (Exec.Range b, Printf.sprintf "server query range bound=%s" (Q.to_string b))
+    in
+    let r =
+      X.run ~sink:t.sink ~backend:"exact" ~describe ~db ~gamma:(origin_gamma t.dim)
+        ~lo ~hi query
     in
     let dur_ms = (Unix.gettimeofday () -. t0) *. 1e3 in
     if t.cfg.slow_query_ms > 0. && dur_ms > t.cfg.slow_query_ms then begin
       Sink.count t.sink "moq_slowq_total" 1;
       Sink.count t.sink "moq_slowq_query_total" 1;
-      (* counter deltas around the run stand in for a private registry:
-         exact when this query ran alone, approximate under concurrency *)
-      let counters =
-        [ ("moq_sweep_events_total",
-           float_of_int (cval "moq_sweep_events_total" - ev0));
-          ("moq_sweep_comparisons_total",
-           float_of_int (cval "moq_sweep_comparisons_total" - cmp0)) ]
-      in
       let ex =
-        mk_explain ~counters
-          ~phases:[ { Explain.name = "run"; ns = dur_ms *. 1e6 } ]
+        { r.X.explain with
+          Explain.phases = [ { Explain.name = "run"; ns = dur_ms *. 1e6 } ] }
       in
       let fields =
         [ ("source", Json.Str "query"); ("session", Json.Int sess.sid);
@@ -938,7 +790,7 @@ let dispatch t sess (req : Proto.request) (attrs : Proto.attrs) ~arrival =
          (Trace.record ~ctx:(tctx c) t.tracer ~name:"query" ~start:arrival
             ~dur:(t_done -. arrival) ())
      | None -> ());
-    enqueue_msg t sess (Proto.R_query (List.map wire_piece timeline));
+    enqueue_msg t sess (Proto.R_query (List.map wire_piece r.X.timeline));
     true
   | Proto.Stats fmt ->
     with_lock t.lock (fun () ->

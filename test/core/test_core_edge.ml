@@ -14,6 +14,8 @@ module EX = Moq_core.Engine.Make (BX)
 module SwX = Moq_core.Sweep.Make (BX)
 module TLX = SwX.TL
 module KnnX = Moq_core.Knn.Make (BX)
+module ShX = Moq_core.Shard.Make (BX)
+module NaiveX = Moq_baseline.Naive.Make (BX)
 module MonX = Moq_core.Monitor.Make (BX)
 module SupX = Moq_core.Support.Make (BX)
 module Fof = Moq_core.Fof
@@ -119,6 +121,48 @@ let test_tangent_curves_knn () =
    | Some s -> check_set "tie at tangency" [ 1; 2 ] s
    | None -> Alcotest.fail "expected the touch event");
   check_set "separate after" [ 2 ] (KnnX.answer_span eng 1)
+
+(* Seed 1344 gives objects 4 and 6 the identical distance curve
+   17t² − 150t + 873 to the origin.  Over (≈2.60, ≈10.38) they share the
+   nearest place, so every evaluator must report both there: the k-NN
+   operator, the sharded driver, the generic FO(f) sweep, the naive
+   baseline and the monitor, piece for piece. *)
+let test_identical_curves_all_evaluators () =
+  let db = Gen.uniform_db ~seed:1344 ~n:6 ~extent:30 ~speed:4 () in
+  let gamma = T.stationary ~start:(q 0) (Qvec.zero 2) in
+  let gdist = Gdist.euclidean_sq ~gamma in
+  let lo = q 0 and hi = q 15 in
+  let interval = Fof.Interval.closed lo hi in
+  let same_piece a b =
+    match a, b with
+    | TLX.Span (a1, a2, s), TLX.Span (b1, b2, s') ->
+      BX.compare_instant a1 b1 = 0 && BX.compare_instant a2 b2 = 0 && Oid.Set.equal s s'
+    | TLX.At (a, s), TLX.At (b, s') -> BX.compare_instant a b = 0 && Oid.Set.equal s s'
+    | _ -> false
+  in
+  let check k =
+    let query = if k = 1 then Fof.nearest_q ~interval else Fof.knn_q ~k ~interval in
+    let reference = (KnnX.run ~db ~gdist ~k ~lo ~hi).KnnX.timeline in
+    let mon = MonX.create ~db ~gdist ~query () in
+    ignore (MonX.finalize mon);
+    List.iter
+      (fun (name, tl) ->
+        let label = Printf.sprintf "k=%d: knn = %s" k name in
+        Alcotest.(check int) (label ^ " (pieces)") (List.length reference) (List.length tl);
+        Alcotest.(check bool) label true (List.for_all2 same_piece reference tl))
+      [ ("shard", (ShX.run ~db ~gamma ~k ~lo ~hi ()).ShX.timeline);
+        ("sweep", (SwX.run ~db ~gdist ~query).SwX.timeline);
+        ("naive", fst (NaiveX.knn_run ~db ~gdist ~k ~lo ~hi));
+        ("monitor", MonX.valid_timeline mon) ];
+    reference
+  in
+  let sample tl = TLX.find_at tl (BX.instant_of_scalar (q 5)) in
+  Alcotest.(check (option (list int))) "1-NN at t=5 holds both twins" (Some [ 4; 6 ])
+    (Option.map Oid.Set.elements (sample (check 1)));
+  Alcotest.(check bool) "2-NN at t=5 holds both twins" true
+    (match sample (check 2) with
+     | Some s -> Oid.Set.mem 4 s && Oid.Set.mem 6 s
+     | None -> false)
 
 (* ------------------------------------------------------------------ *)
 (* FO(f) formula corners                                                *)
@@ -483,6 +527,8 @@ let () =
       ("ties", [
         Alcotest.test_case "identical objects" `Quick test_identical_objects;
         Alcotest.test_case "tangent curves" `Quick test_tangent_curves_knn;
+        Alcotest.test_case "identical curves, every evaluator (seed 1344)" `Quick
+          test_identical_curves_all_evaluators;
       ]);
       ("formulas", [
         Alcotest.test_case "Same atom" `Quick test_same_atom;

@@ -14,40 +14,26 @@ module Gdist = Moq_core.Gdist
 module Explain = Moq_core.Explain
 module Gen = Moq_workload.Gen
 module BX = Moq_core.Backend.Exact
-module KnnX = Moq_core.Knn.Make (BX)
+module Exec = Moq_core.Exec
+module ExX = Exec.Make (BX)
 
 let q = Q.of_int
 
-(* Run a k-NN sweep against a live registry and assemble the report the
-   way the CLI and the server do. *)
+(* Run a k-NN query through the shared execution path against a live
+   registry, embedding the registry in the report the way the CLI does. *)
 let run_report ?(seed = 11) ?(n = 16) ?(k = 2) ?(lo = 0) ?(hi = 40) () =
   let reg = Registry.create () in
   let sink = Sink.of_registry reg in
   let db = Gen.uniform_db ~seed ~n ~extent:50 ~speed:5 () in
   let gamma = T.stationary ~start:(q 0) (Qvec.zero 2) in
-  let gdist = Gdist.euclidean_sq ~gamma in
-  let r = KnnX.run_obs ~sink ~db ~gdist ~k ~lo:(q lo) ~hi:(q hi) in
-  let s = r.KnnX.stats in
-  let sweep =
-    { Explain.batches = s.KnnX.E.batches; crossings = s.KnnX.E.crossings;
-      births = s.KnnX.E.births; deaths = s.KnnX.E.deaths;
-      jumps = s.KnnX.E.jumps; swaps = s.KnnX.E.swaps;
-      comparisons = s.KnnX.E.comparisons;
-      support_changes = s.KnnX.E.crossings + s.KnnX.E.births + s.KnnX.E.deaths }
-  in
-  let hot =
-    List.map
-      (fun (h : KnnX.E.hot) ->
-        { Explain.oid = h.KnnX.E.h_oid; comparisons = h.KnnX.E.h_comparisons;
-          swaps = h.KnnX.E.h_swaps })
-      r.KnnX.hot
+  let r =
+    ExX.run ~sink ~backend:"exact" ~describe:"test knn" ~db ~gamma ~lo:(q lo)
+      ~hi:(q hi) (Exec.Knn k)
   in
   let report =
-    Explain.make ~kind:"knn" ~query:"test knn" ~backend:"exact" ~n_objects:n
-      ~lo:(float_of_int lo) ~hi:(float_of_int hi)
-      ~timeline_pieces:(List.length r.KnnX.timeline) ~sweep ~hot
-      ~phases:[ { Explain.name = "run"; ns = 1e6 } ]
-      ~counters:(Registry.flatten reg) ()
+    { r.ExX.explain with
+      Explain.phases = [ { Explain.name = "run"; ns = 1e6 } ];
+      counters = Registry.flatten reg }
   in
   (report, reg)
 
@@ -116,7 +102,7 @@ let test_golden_schema () =
    accounting, under the same golden key order. *)
 let test_sharded_report () =
   let module BFl = Moq_core.Backend.Filtered in
-  let module Sh = Moq_core.Shard.Make (BFl) in
+  let module ExFl = Exec.Make (BFl) in
   let reg = Registry.create () in
   let sink = Sink.of_registry reg in
   let n = 30 in
@@ -125,26 +111,10 @@ let test_sharded_report () =
       ~speed:2 ()
   in
   let gamma = T.stationary ~start:(q 0) (Qvec.zero 2) in
-  let r = Sh.run_obs ~sink ~db ~gamma ~k:2 ~lo:(q 0) ~hi:(q 20) ~cell:64.0 () in
-  let s = r.Sh.stats in
-  let sweep =
-    { Explain.batches = s.Sh.E.batches; crossings = s.Sh.E.crossings;
-      births = s.Sh.E.births; deaths = s.Sh.E.deaths; jumps = s.Sh.E.jumps;
-      swaps = s.Sh.E.swaps; comparisons = s.Sh.E.comparisons;
-      support_changes = s.Sh.E.crossings + s.Sh.E.births + s.Sh.E.deaths }
-  in
-  let sb = r.Sh.shard in
-  let shards =
-    { Explain.s_total = sb.Sh.shards_total; s_touched = sb.Sh.shards_touched;
-      s_admitted = sb.Sh.admitted; s_pruned = sb.Sh.pruned;
-      s_merge_ops = sb.Sh.frontier_merge_ops; s_events = sb.Sh.shard_events;
-      s_band = sb.Sh.band }
-  in
   let report =
-    Explain.make ~kind:"knn" ~query:"test sharded knn"
-      ~backend:"sharded-filtered" ~n_objects:n ~lo:0. ~hi:20.
-      ~timeline_pieces:(List.length r.Sh.timeline) ~sweep ~shards
-      ~counters:(Registry.flatten reg) ()
+    (ExFl.run ~driver:Exec.Sharded ~sink ~backend:"sharded-filtered"
+       ~describe:"test sharded knn" ~db ~gamma ~lo:(q 0) ~hi:(q 20) (Exec.Knn 2))
+      .ExFl.explain
   in
   let j = Explain.to_json report in
   Alcotest.(check (list string)) "top-level keys" golden_keys (obj_keys j);
@@ -177,17 +147,13 @@ let test_sharded_report () =
 (* An aggregation run populates the agg block under the same golden key
    order; prune accounting is self-consistent. *)
 let test_agg_report () =
-  let sweep =
-    { Explain.batches = 0; crossings = 0; births = 0; deaths = 0; jumps = 0;
-      swaps = 0; comparisons = 0; support_changes = 0 }
-  in
   let agg =
     { Explain.a_pois = 3; a_windows = 5; a_rows = 15; a_admitted = 9;
       a_pruned = 21; a_updates = 40; a_forwarded = 24 }
   in
   let report =
     Explain.make ~kind:"agg" ~query:"test agg" ~backend:"exact" ~n_objects:10
-      ~lo:0. ~hi:50. ~timeline_pieces:0 ~sweep ~agg ~counters:[] ()
+      ~lo:0. ~hi:50. ~timeline_pieces:0 ~agg ~counters:[] ()
   in
   let j = Explain.to_json report in
   Alcotest.(check (list string)) "top-level keys" golden_keys (obj_keys j);

@@ -8,8 +8,9 @@
    every way pruning could go wrong: objects migrating across shard
    boundaries mid-interval (fast movers under a small cell), simultaneous
    crossings straddling two shards (the pencil), positions snapped exactly
-   onto cell boundaries, tangencies under the filtered arithmetic, and a
-   moving query trajectory.  Sweep statistics are deliberately NOT
+   onto cell boundaries, tangencies under the filtered arithmetic,
+   mirrored twins whose distance curves are identical, and a moving query
+   trajectory.  Sweep statistics are deliberately NOT
    compared — the sharded driver does different (less) work; only answers
    must agree. *)
 
@@ -25,6 +26,7 @@ module BFl = Core.Backend.Filtered
 module KnnX = Core.Knn.Make (BX)
 module ShF = Core.Shard.Make (BFl)
 module Gdist = Core.Gdist
+module Explain = Core.Explain
 module Gen = Moq_workload.Gen
 module Sink = Moq_obs.Sink
 
@@ -84,12 +86,12 @@ let check_workload name ~db ~gamma ~k ~lo ~hi ~cell =
           pp_npiece px pp_npiece ps)
     (List.combine nx ns);
   let sh = rs.ShF.shard in
-  if sh.ShF.admitted + sh.ShF.pruned <> DB.cardinal db then
+  if sh.Explain.s_admitted + sh.Explain.s_pruned <> DB.cardinal db then
     Alcotest.failf "%s: admitted %d + pruned %d <> population %d" name
-      sh.ShF.admitted sh.ShF.pruned (DB.cardinal db);
-  if sh.ShF.shards_touched > sh.ShF.shards_total then
-    Alcotest.failf "%s: touched %d > total %d" name sh.ShF.shards_touched
-      sh.ShF.shards_total;
+      sh.Explain.s_admitted sh.Explain.s_pruned (DB.cardinal db);
+  if sh.Explain.s_touched > sh.Explain.s_total then
+    Alcotest.failf "%s: touched %d > total %d" name sh.Explain.s_touched
+      sh.Explain.s_total;
   sh
 
 (* A query trajectory drifting diagonally: exercises band search and shard
@@ -99,7 +101,7 @@ let drifting_gamma () =
     ~a:(Qvec.of_list [ q 1; q (-1) ])
     ~b:(Qvec.of_list [ q (-5); q 5 ])
 
-(* >= 200 seeded workloads across six families. *)
+(* >= 200 seeded workloads across seven families. *)
 let test_sharded_equals_exact () =
   let pruned_somewhere = ref false in
   (* 1. uniform, small cell: fast movers migrate across many shard
@@ -107,7 +109,7 @@ let test_sharded_equals_exact () =
   for seed = 1 to 60 do
     let db = Gen.uniform_db ~seed ~n:6 ~dim:2 ~extent:40 ~speed:10 () in
     let gamma = if seed mod 2 = 0 then origin 2 else drifting_gamma () in
-    let (_ : ShF.shard_stats) =
+    let (_ : Explain.shards) =
       check_workload
         (Printf.sprintf "uniform seed %d" seed)
         ~db ~gamma ~k:(1 + (seed mod 3)) ~lo:(q 0) ~hi:(q 25) ~cell:8.0
@@ -125,13 +127,13 @@ let test_sharded_equals_exact () =
         (Printf.sprintf "clustered seed %d" seed)
         ~db ~gamma:(origin 2) ~k:2 ~lo:(q 0) ~hi:(q 20) ~cell:64.0
     in
-    if sh.ShF.pruned > 0 then pruned_somewhere := true
+    if sh.Explain.s_pruned > 0 then pruned_somewhere := true
   done;
   (* 3. boundary-snapped: integer positions under cell 1.0 put every
      object exactly on a cell corner *)
   for seed = 1 to 20 do
     let db = Gen.uniform_db ~seed ~n:6 ~dim:2 ~extent:10 ~speed:2 () in
-    let (_ : ShF.shard_stats) =
+    let (_ : Explain.shards) =
       check_workload
         (Printf.sprintf "boundary seed %d" seed)
         ~db ~gamma:(origin 2) ~k:2 ~lo:(q 0) ~hi:(q 15) ~cell:1.0
@@ -141,7 +143,7 @@ let test_sharded_equals_exact () =
   (* 4. tangencies under the filtered arithmetic *)
   for seed = 1 to 20 do
     let db = Gen.tangency_db ~seed ~n:8 () in
-    let (_ : ShF.shard_stats) =
+    let (_ : Explain.shards) =
       check_workload
         (Printf.sprintf "tangency seed %d" seed)
         ~db ~gamma:(origin 2) ~k:3 ~lo:(q 0) ~hi:(q 20) ~cell:4.0
@@ -152,7 +154,7 @@ let test_sharded_equals_exact () =
      small cell makes the crossing straddle shard boundaries *)
   for seed = 1 to 30 do
     let db = Gen.pencil_db ~seed ~n:7 ~at:(q 5) () in
-    let (_ : ShF.shard_stats) =
+    let (_ : Explain.shards) =
       check_workload
         (Printf.sprintf "pencil seed %d" seed)
         ~db ~gamma:(origin 1) ~k:2 ~lo:(q 0) ~hi:(q 10) ~cell:2.0
@@ -163,15 +165,37 @@ let test_sharded_equals_exact () =
   for seed = 1 to 30 do
     let db = Gen.uniform_db ~seed ~n:5 ~dim:2 ~extent:30 ~speed:4 () in
     let k = if seed mod 2 = 0 then 5 else 9 in
-    let (_ : ShF.shard_stats) =
+    let (_ : Explain.shards) =
       check_workload
         (Printf.sprintf "clamp seed %d" seed)
         ~db ~gamma:(origin 2) ~k ~lo:(q 0) ~hi:(q 20) ~cell:16.0
     in
-    let (_ : ShF.shard_stats) =
+    let (_ : Explain.shards) =
       check_workload
         (Printf.sprintf "point-window seed %d" seed)
         ~db ~gamma:(origin 2) ~k:2 ~lo:(q 7) ~hi:(q 7) ~cell:16.0
+    in
+    ()
+  done;
+  (* 7. mirrored pairs: every object gets a twin moving through the
+     mirror-image positions, so the two share one distance curve to the
+     origin for the whole window while sitting in different shards — ties
+     on open spans, across shard boundaries *)
+  for seed = 1 to 30 do
+    let base = Gen.uniform_db ~seed ~n:4 ~dim:2 ~extent:30 ~speed:4 () in
+    let db =
+      List.fold_left
+        (fun db (o, tr) ->
+          let b = T.position_exn tr (q 0) in
+          let a = Qvec.sub (T.position_exn tr (q 1)) b in
+          DB.add_initial db (o + 10)
+            (T.linear ~start:(q 0) ~a:(Qvec.neg a) ~b:(Qvec.neg b)))
+        base (DB.objects base)
+    in
+    let (_ : Explain.shards) =
+      check_workload
+        (Printf.sprintf "mirrored seed %d" seed)
+        ~db ~gamma:(origin 2) ~k:(1 + (seed mod 3)) ~lo:(q 0) ~hi:(q 15) ~cell:8.0
     in
     ()
   done;
@@ -190,14 +214,14 @@ let test_shard_counters () =
       ~cell:64.0 ()
   in
   let cval name = Moq_obs.Registry.counter_value reg name in
-  Alcotest.(check (option int)) "admissions" (Some r.ShF.shard.ShF.admitted)
+  Alcotest.(check (option int)) "admissions" (Some r.ShF.shard.Explain.s_admitted)
     (cval "moq_shard_admissions_total");
-  Alcotest.(check (option int)) "prunes" (Some r.ShF.shard.ShF.pruned)
+  Alcotest.(check (option int)) "prunes" (Some r.ShF.shard.Explain.s_pruned)
     (cval "moq_shard_prunes_total");
-  Alcotest.(check (option int)) "touched" (Some r.ShF.shard.ShF.shards_touched)
+  Alcotest.(check (option int)) "touched" (Some r.ShF.shard.Explain.s_touched)
     (cval "moq_shard_touched_total");
   Alcotest.(check (option int)) "merge ops"
-    (Some r.ShF.shard.ShF.frontier_merge_ops)
+    (Some r.ShF.shard.Explain.s_merge_ops)
     (cval "moq_shard_frontier_merge_ops_total")
 
 let test_invalid_k () =

@@ -748,15 +748,29 @@ let test_slow_query_capture () =
         (match Moq_obs.Registry.counter_value reg "moq_slowq_total" with
          | Some n -> n >= 1
          | None -> false);
-      (match Recorder.last ~kind:"slow_query" (Server.recorder srv) with
-       | None -> Alcotest.fail "no slow_query event recorded"
-       | Some e ->
-         (* the captured record is a full explain document *)
-         (match List.assoc_opt "explain" e.Recorder.fields with
-          | Some (Json.Obj kvs) ->
-            Alcotest.(check bool) "explain schema tag" true
-              (List.assoc_opt "moq_explain" kvs = Some (Json.Int 3))
-          | _ -> Alcotest.fail "slow_query event carries no explain"));
+      let last_explain () =
+        match Recorder.last ~kind:"slow_query" (Server.recorder srv) with
+        | None -> Alcotest.fail "no slow_query event recorded"
+        | Some e ->
+          (match List.assoc_opt "explain" e.Recorder.fields with
+           | Some (Json.Obj kvs) -> kvs
+           | _ -> Alcotest.fail "slow_query event carries no explain")
+      in
+      (* the captured record is a full explain document *)
+      Alcotest.(check bool) "explain schema tag" true
+        (List.assoc_opt "moq_explain" (last_explain ()) = Some (Json.Int 3));
+      (* a range query's explain carries its own sweep's Lemma 9 numbers *)
+      (match req c (Proto.Query { kind = Proto.Qk_range (q 100); lo = q 0; hi = q 10 }) with
+       | Proto.R_query _ -> ()
+       | m -> Alcotest.failf "range query: %s" (Proto.render_server_msg m));
+      let ex = last_explain () in
+      Alcotest.(check bool) "range explain kind" true
+        (List.assoc_opt "kind" ex = Some (Json.Str "range"));
+      (match List.assoc_opt "lemma9" ex with
+       | Some (Json.Obj l) ->
+         Alcotest.(check bool) "range lemma9.events > 0" true
+           (match List.assoc_opt "events" l with Some (Json.Int n) -> n > 0 | _ -> false)
+       | _ -> Alcotest.fail "range explain carries no lemma9 block");
       Client.close c)
 
 (* STATS publishes rank-indexed hot-object and hot-subscription gauges. *)
