@@ -96,6 +96,7 @@ module Make (B : Backend.S) = struct
     stats : stats;
     sink : Sink.t;
     attr : (Moq_mod.Oid.t, attr_cell) Hashtbl.t option;
+    mutable batch : event_data list;  (* the batch being processed *)
   }
 
   let now t = t.now
@@ -195,18 +196,33 @@ module Make (B : Backend.S) = struct
      adjacent pair). *)
   let debug = Sys.getenv_opt "MOQ_DEBUG" <> None
 
+  (* [e]'s pending crossing with its right neighbour falls at [i]: an
+     update landed on it, and the batch at [i] resolves it. *)
+  let pending_at i e =
+    match e.right_event with
+    | Some h -> LH.mem h && B.compare_instant (LH.key h) i = 0
+    | None -> false
+
+  let targets e r =
+    match e.right_event with
+    | Some h -> (match LH.value h with Cross (_, r') -> r' == r | _ -> false)
+    | None -> false
+
   let schedule_pair t l r =
-    drop_right_event t l;
-    match C.first_crossing ~after:t.now ?horizon:t.horizon l.curve r.curve with
-    | Some i ->
-      if debug then
-        Format.eprintf "sched (%a,%a) at %a (now %a)@." pp_label l.lbl pp_label r.lbl
-          B.pp_instant i B.pp_instant t.now;
-      l.right_event <- Some (LH.insert t.queue i (Cross (l, r)))
-    | None ->
-      if debug then
-        Format.eprintf "sched (%a,%a): none (now %a)@." pp_label l.lbl pp_label r.lbl
-          B.pp_instant t.now
+    (* a crossing of this very pair at the current instant stays queued *)
+    if not (pending_at t.now l && targets l r) then begin
+      drop_right_event t l;
+      match C.first_crossing ~after:t.now ?horizon:t.horizon l.curve r.curve with
+      | Some i ->
+        if debug then
+          Format.eprintf "sched (%a,%a) at %a (now %a)@." pp_label l.lbl pp_label r.lbl
+            B.pp_instant i B.pp_instant t.now;
+        l.right_event <- Some (LH.insert t.queue i (Cross (l, r)))
+      | None ->
+        if debug then
+          Format.eprintf "sched (%a,%a): none (now %a)@." pp_label l.lbl pp_label r.lbl
+            B.pp_instant t.now
+    end
 
   let schedule_around t e =
     (match prev_entry t e with Some p -> schedule_pair t p e | None -> ());
@@ -262,8 +278,10 @@ module Make (B : Backend.S) = struct
     OL.delete t.order (node_of e);
     e.node <- None;
     e.dead <- true;
+    (* only the newly adjacent pair changed: other pending events, one at
+       the current instant included, stay as they are *)
     match p, n with
-    | Some p, Some _ -> schedule_around t p
+    | Some p, Some n -> schedule_pair t p n
     | _ -> ()
 
   let create ?(sink = Sink.noop) ?(attr = true) ~start ?horizon curves =
@@ -279,6 +297,7 @@ module Make (B : Backend.S) = struct
                   events = 0; event_comparisons = 0 };
         sink;
         attr = (if attr then Some (Hashtbl.create 64) else None);
+        batch = [];
       }
     in
     let entries =
@@ -289,11 +308,12 @@ module Make (B : Backend.S) = struct
           e)
         curves
     in
+    (* a curve that stops at [start] takes no part in the order after it *)
     let alive, rest =
       List.partition
         (fun e ->
           F.compare (PW.start e.curve) start <= 0
-          && (match PW.stop e.curve with None -> true | Some s -> F.compare start s <= 0))
+          && (match PW.stop e.curve with None -> true | Some s -> F.compare start s < 0))
         entries
     in
     (* initial sort: the O(N log N) of Theorem 5(1) *)
@@ -351,7 +371,7 @@ module Make (B : Backend.S) = struct
       let e = Queue.pop work in
       if (not e.dead) && e.node <> None then begin
         (match next_entry t e with
-         | Some n when cmp_entries_at t i e n > 0 ->
+         | Some n when cmp_entries_at t i e n > 0 && not (pending_at i e) ->
            let en = node_of e and nn = node_of n in
            OL.swap_adjacent t.order en nn;
            (* payloads moved: nodes exchanged owners *)
@@ -375,7 +395,7 @@ module Make (B : Backend.S) = struct
            (match next_entry t e with Some x -> push_noted x | None -> ())
          | _ ->
            (match prev_entry t e with
-            | Some p when cmp_entries_at t i p e > 0 -> push p
+            | Some p when cmp_entries_at t i p e > 0 && not (pending_at i p) -> push p
             | _ -> ()))
       end
     done
@@ -465,7 +485,9 @@ module Make (B : Backend.S) = struct
       events;
     let disturbed = ref !touched in
     bubble t i !touched ~note:(fun e -> disturbed := e :: !disturbed);
+    t.batch <- events;
     emit (Point i);
+    t.batch <- [];
     List.iter
       (fun e ->
         if e.node <> None then begin
@@ -513,6 +535,15 @@ module Make (B : Backend.S) = struct
       Sink.set t.sink "moq_sweep_order_len" (float_of_int (OL.length t.order));
       Sink.set t.sink "moq_sweep_queue_len" (float_of_int (LH.length t.queue))
     end
+
+  let batch t =
+    List.fold_left
+      (fun (cross, changes) -> function
+        | Cross (l, r) -> ((l.lbl, r.lbl) :: cross, changes)
+        | Birth e | Death e | Jump e -> (cross, e.lbl :: changes))
+      ([], []) t.batch
+
+  let next_event t = Option.map fst (LH.find_min t.queue)
 
   let advance t ~upto ~emit =
     let continue_ = ref true in
@@ -781,7 +812,7 @@ module Make (B : Backend.S) = struct
           B.compare_instant_scalar t.now (PW.start e.curve) >= 0
           && (match PW.stop e.curve with
               | None -> true
-              | Some s -> B.compare_instant_scalar t.now s <= 0))
+              | Some s -> B.compare_instant_scalar t.now s < 0))
         candidates
     in
     t.queue <- LH.create ~cmp:B.compare_instant;

@@ -81,7 +81,7 @@ module Make (B : Backend.S) : sig
   (** Initialize the sweep at time [start]: curves alive at [start] are
       sorted into the object list (O(N log N), Theorem 5(1)); curves whose
       domain begins later are scheduled as birth events.  Curves ending
-      before [start] are ignored.  Events after [horizon] are never
+      at or before [start] are ignored.  Events after [horizon] are never
       scheduled.  [attr] (default [true]) keeps per-object comparison/swap
       attribution ({!hot_objects}); pass [false] to shave the per-comparison
       table probe off the hot path. *)
@@ -128,6 +128,13 @@ module Make (B : Backend.S) : sig
       called per the [step] protocol; the final span up to [upto] is {e not}
       emitted (callers close it — they know whether [upto] is an update time
       or the query horizon). *)
+
+  val batch : t -> (label * label) list * label list
+  (** While {!advance} emits a [Point]: the batch's crossing pairs, and the
+      labels of its births, deaths and jumps.  Empty otherwise. *)
+
+  val next_event : t -> B.instant option
+  (** The instant of the earliest pending event. *)
 
   val timeline :
     t -> lo:Moq_numeric.Rat.t -> hi:Moq_numeric.Rat.t ->

@@ -1,6 +1,8 @@
-(** Shared construction of a sweep instance from (MOD, g-distance, query):
-    one curve per (object, time term) plus one constant curve per real
-    constant in the query (paper, end of Section 5). *)
+(** Shared construction of a sweep instance from (MOD, g-distance, time
+    terms): one curve per (object, time term), plus one constant curve per
+    real constant of a query (paper, end of Section 5).  The object curves
+    depend on the time terms only, so queries with the same time terms can
+    share them. *)
 
 module Oid = Moq_mod.Oid
 module Q = Moq_numeric.Rat
@@ -15,9 +17,7 @@ module Make (B : Backend.S) = struct
   type t = {
     mutable gdist : Gdist.t;
     tts : Fof.time_term array;
-    consts : Q.t list;
-    query : Fof.query;
-    istart : Q.t;  (** interval start (anchors constant curves) *)
+    istart : Q.t;  (** sweep start (anchors constant curves) *)
     mutable lifetimes : (Q.t * Q.t option) Oid.Map.t;
     mutable curves : B.PW.t option array Oid.Map.t; (* per object, per tt index *)
   }
@@ -49,18 +49,25 @@ module Make (B : Backend.S) = struct
       (fun tt -> Option.map B.curve_of_qpiece (qcurve p.gdist tr tt ~istart:p.istart))
       p.tts
 
-  let create ~(db : DB.t) ~(gdist : Gdist.t) ~(query : Fof.query) ~(istart : Q.t) : t =
+  (* The time terms a query sweeps; queries with no Dist terms still sweep
+     time. *)
+  let time_terms (query : Fof.query) =
     if not (Fof.free_ok query) then invalid_arg "Problem: ill-formed query";
-    let tts =
-      match Fof.time_terms query with
-      | [] -> [| Fof.t_var |] (* queries with no Dist terms still sweep time *)
-      | l -> Array.of_list l
-    in
+    match Fof.time_terms query with
+    | [] -> [| Fof.t_var |]
+    | l -> Array.of_list l
+
+  let same_time_terms a b =
+    Array.length a = Array.length b
+    && Array.for_all2
+         (fun (x : Fof.time_term) (y : Fof.time_term) ->
+           Q.equal x.Fof.scale y.Fof.scale && Q.equal x.Fof.offset y.Fof.offset)
+         a b
+
+  let create ~(db : DB.t) ~(gdist : Gdist.t) ~(tts : Fof.time_term array) ~(istart : Q.t) : t =
     let p =
       { gdist;
         tts;
-        consts = Fof.constants query;
-        query;
         istart;
         lifetimes = Oid.Map.empty;
         curves = Oid.Map.empty;
@@ -73,7 +80,13 @@ module Make (B : Backend.S) = struct
       (DB.objects db);
     p
 
-  let entry_list p : (E.label * B.PW.t) list =
+  let constant_curve ~(start : Q.t) (c : Q.t) =
+    B.PW.constant ~start:(B.scalar_of_rat start) (B.scalar_of_rat c)
+
+  (* The object curves plus constant curves for [consts] starting at
+     [start] (default: the sweep start). *)
+  let entry_list ?start p ~(consts : Q.t list) : (E.label * B.PW.t) list =
+    let start = Option.value start ~default:p.istart in
     let obj_entries =
       Oid.Map.fold
         (fun o arr acc ->
@@ -85,10 +98,7 @@ module Make (B : Backend.S) = struct
         p.curves []
     in
     let const_entries =
-      List.map
-        (fun c ->
-          (E.Cst c, B.PW.constant ~start:(B.scalar_of_rat p.istart) (B.scalar_of_rat c)))
-        p.consts
+      List.map (fun c -> (E.Cst c, constant_curve ~start c)) consts
     in
     obj_entries @ const_entries
 
@@ -112,12 +122,6 @@ module Make (B : Backend.S) = struct
     }
 
   (* Mutations used by the monitor. *)
-
-  let add_object p o tr =
-    p.lifetimes <- Oid.Map.add o (T.birth tr, T.death tr) p.lifetimes;
-    let arr = curves_of p tr in
-    p.curves <- Oid.Map.add o arr p.curves;
-    arr
 
   let update_object p o tr =
     p.lifetimes <- Oid.Map.add o (T.birth tr, T.death tr) p.lifetimes;

@@ -33,10 +33,10 @@ module Make (B : Backend.S) = struct
     Sink.count sink "moq_query_past_total" 1;
     Sink.time sink "moq_query_past_seconds" @@ fun () ->
     let lo, hi = interval_bounds query in
-    let p = P.create ~db ~gdist ~query ~istart:lo in
+    let p = P.create ~db ~gdist ~tts:(P.time_terms query) ~istart:lo in
     let eng =
       E.create ~sink ~start:(B.scalar_of_rat lo)
-        ~horizon:(B.scalar_of_rat hi) (P.entry_list p)
+        ~horizon:(B.scalar_of_rat hi) (P.entry_list p ~consts:(Fof.constants query))
     in
     let ctx = P.snapshot_ctx p in
     let answer i = S.answer_at ctx query i in

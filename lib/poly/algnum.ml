@@ -31,15 +31,54 @@ let step r : Q.t option =
     if sm * P.sign_at r.p r.lo < 0 then r.hi <- m else r.lo <- m;
     None
 
+(* The root of a degree-1 polynomial is rational: it stays exact, so it
+   prints and converts the same whichever backend produced it. *)
+let linear_root p = Q.neg (Q.div (P.coeff p 0) (P.coeff p 1))
+
 let roots p =
   if P.degree p <= 0 then []
   else begin
     let sf = P.squarefree p in
-    List.map
-      (function
-        | Sturm.Point q -> Rational q
-        | Sturm.Open_interval (lo, hi) -> Root { p = sf; lo; hi })
-      (Sturm.isolate p)
+    if P.degree sf = 1 then [ Rational (linear_root sf) ]
+    else
+      List.map
+        (function
+          | Sturm.Point q -> Rational q
+          | Sturm.Open_interval (lo, hi) -> Root { p = sf; lo; hi })
+        (Sturm.isolate p)
+  end
+
+module Z = Moq_numeric.Bigint
+
+(* The square root of [n >= 0] when [n] is a perfect square (Newton). *)
+let exact_isqrt n =
+  if Z.sign n < 0 then None
+  else if Z.is_zero n then Some n
+  else begin
+    let rec go x =
+      let y = Z.shift_right (Z.add x (Z.div n x)) 1 in
+      if Z.compare y x >= 0 then x else go y
+    in
+    let r = go (Z.shift_left Z.one ((Z.num_bits n + 1) / 2)) in
+    if Z.equal (Z.mul r r) n then Some r else None
+  end
+
+(* The value of a quadratic's root when it is rational (the discriminant is
+   a rational square).  The sweep's curves are at most quadratic, so a
+   crossing at a rational instant found from a quadratic difference is
+   recognised here: it prints and converts like the rational itself. *)
+let rational_value (r : root) =
+  if P.degree r.p <> 2 then None
+  else begin
+    let a = P.coeff r.p 2 and b = P.coeff r.p 1 and c = P.coeff r.p 0 in
+    let disc = Q.sub (Q.mul b b) (Q.mul (Q.of_int 4) (Q.mul a c)) in
+    match exact_isqrt (Q.num disc), exact_isqrt (Q.den disc) with
+    | Some sn, Some sd ->
+      let sq = Q.div (Q.of_bigint sn) (Q.of_bigint sd) and two_a = Q.mul (Q.of_int 2) a in
+      List.find_opt
+        (fun x -> Q.compare r.lo x < 0 && Q.compare x r.hi < 0)
+        [ Q.div (Q.sub (Q.neg b) sq) two_a; Q.div (Q.add (Q.neg b) sq) two_a ]
+    | _ -> None
   end
 
 let sign = function
@@ -156,10 +195,32 @@ let rec refine_until_width (x : t) (w : Q.t) : t =
       | None -> refine_until_width x w
     end
 
+(* A root converts through the cell of the fixed grid of step 2^-50 that
+   holds it: the cell depends on the number alone, not on the isolating
+   interval its history of comparisons left behind, so equal numbers give
+   equal floats. *)
+let grid_scale = Q.of_bigint (Z.shift_left Z.one 50)
+let grid_step = Q.inv grid_scale
+
 let to_float x =
-  match refine_until_width x (Q.of_string "1/1000000000000000") with
+  match x with
   | Rational q -> Q.to_float q
-  | Root r -> Q.to_float (midpoint r.lo r.hi)
+  | Root r ->
+    (match rational_value r with
+     | Some q -> Q.to_float q
+     | None ->
+       (match refine_until_width x grid_step with
+        | Rational q -> Q.to_float q
+        | Root r ->
+          (* the interval is narrower than one step, so the least grid
+             point at or above [lo] is the upper end of the root's cell or
+             its lower end *)
+          let g = Q.div (Q.of_bigint (Q.ceil (Q.mul r.lo grid_scale))) grid_scale in
+          (match compare_rat_root g r with
+           | 0 -> Q.to_float g
+           | c ->
+             let cell = if c < 0 then g else Q.sub g grid_step in
+             Q.to_float (Q.add cell (Q.mul half grid_step)))))
 
 let rational_between x y =
   let c = compare x y in
@@ -221,6 +282,7 @@ let root_of_isolating_exn p ~lo ~hi =
   let slo = P.sign_at sf lo and shi = P.sign_at sf hi in
   if slo = 0 || shi = 0 || slo * shi > 0 then
     invalid_arg "Algnum.root_of_isolating_exn: no sign change"
+  else if P.degree sf = 1 then Rational (linear_root sf)
   else Root { p = sf; lo; hi }
 
 (* The live isolating interval is comparison-history-dependent, but the
@@ -234,14 +296,17 @@ let pp fmt x =
   match x with
   | Rational q -> Q.pp fmt q
   | Root r ->
-    let fresh =
-      match List.find_opt (fun c -> compare c x = 0) (roots r.p) with
-      | Some c -> c
-      | None -> Root { r with lo = r.lo } (* defensive: print our own copy *)
-    in
-    (match refine_until_width fresh canonical_width with
-     | Rational q -> Q.pp fmt q
-     | Root c ->
-       Format.fprintf fmt "root(%a) in (%a,%a) ~ %.6g" P.pp c.p Q.pp c.lo
-         Q.pp c.hi
-         (Q.to_float (midpoint c.lo c.hi)))
+    (match rational_value r with
+     | Some q -> Q.pp fmt q
+     | None ->
+       let fresh =
+         match List.find_opt (fun c -> compare c x = 0) (roots r.p) with
+         | Some c -> c
+         | None -> Root { r with lo = r.lo } (* defensive: print our own copy *)
+       in
+       (match refine_until_width fresh canonical_width with
+        | Rational q -> Q.pp fmt q
+        | Root c ->
+          Format.fprintf fmt "root(%a) in (%a,%a) ~ %.6g" P.pp c.p Q.pp c.lo
+            Q.pp c.hi
+            (Q.to_float (midpoint c.lo c.hi))))

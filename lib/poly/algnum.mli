@@ -47,7 +47,9 @@ val rational_below : t -> Q.t
 val rational_above : t -> Q.t
 
 val to_float : t -> float
-(** Approximation after refining the isolating interval to width [< 1e-12]. *)
+(** Approximation within [2^-50]: a root converts as the midpoint of the
+    cell of the [2^-50] grid that holds it, so equal numbers convert to
+    equal floats whatever isolating intervals they hold. *)
 
 val bounds : t -> Q.t * Q.t
 (** Current rational enclosure [(lo, hi)] of the number: the isolating

@@ -13,8 +13,11 @@ module IV = Moq_numeric.Fintval
 let cache : (Qpoly.t, IV.t array) Hashtbl.t = Hashtbl.create 512
 
 (* Bound the cache so adversarial workloads (every update a fresh curve)
-   cannot leak; resetting just loses memoization, never soundness. *)
-let max_entries = 8192
+   cannot leak; resetting just loses memoization, never soundness.  One
+   sweep's working set — the differences of adjacent curves — fits many
+   times over; a larger bound only holds a server's heap up (a stream of
+   one-shot queries fills any bound with differences never seen again). *)
+let max_entries = 512
 
 let of_qpoly (p : Qpoly.t) : IV.t array =
   match Hashtbl.find_opt cache p with

@@ -19,12 +19,12 @@ module Explain = Moq_core.Explain
 module Frame = Moq_proto.Frame
 module Proto = Moq_proto.Proto
 
-module BX = Moq_core.Backend.Exact
+module BF = Moq_core.Backend.Filtered
 module Agg = Moq_agg.Agg
-module AggX = Moq_agg.Agg.Make (BX)
-module Mon = Moq_core.Monitor.Make (BX)
+module AggF = Moq_agg.Agg.Make (BF)
+module Mon = Moq_core.Monitor.Make (BF)
 module Exec = Moq_core.Exec
-module X = Exec.Make (BX)
+module X = Exec.Make (BF)
 module Fof = Moq_core.Fof
 module Gdist = Moq_core.Gdist
 module TL = Mon.TL
@@ -113,11 +113,15 @@ type out_item =
     }
   | O_dropped of { sub : int; mutable from_seq : int; to_seq : int }
 
-(* What a subscription evaluates: a monitor streaming validated timeline
-   pieces, or a continuous POI aggregation streaming finalized window
-   rows.  Both ride the same EVENT sequence numbering and backpressure
-   machinery. *)
-type sub_body = S_mon of Mon.t | S_agg of AggX.Cont.t
+(* The g-distances subscriptions sweep: every knn, range and Euclidean
+   subscription measures from the origin; [speed_sq] is the other one. *)
+type gkey = G_origin | G_speed
+
+(* What a subscription evaluates: a query on the shared sweep of its
+   g-distance, streaming validated timeline pieces, or a continuous POI
+   aggregation streaming finalized window rows.  Both ride the same EVENT
+   sequence numbering and backpressure machinery. *)
+type sub_body = S_mon of gkey * Mon.query | S_agg of AggF.Cont.t
 
 type sub = {
   sub_id : int;
@@ -164,6 +168,8 @@ type t = {
   lock : Mutex.t;  (* guards store, sanitizer, sessions list, subscriptions,
                       and all repl_* state *)
   mutable sessions : session list;
+  mutable sweeps : (gkey * Mon.t) list;
+      (* one sweep per g-distance with live subscriptions *)
   mutable next_sid : int;
   mutable next_sub : int;
   mutable stopping : bool;
@@ -180,6 +186,9 @@ type t = {
   mutable repl_seq : int;
   repl_backlog_q : (int * U.t) Queue.t;
   mutable repl_since_digest : int;
+  mutable repl_handoff : float option;
+      (* when the current request's first commit was handed to the
+         follower streams: where its traced primary stage ends *)
   (* Follower side *)
   mutable repl_pos : (int * int) option;  (* last applied primary (epoch, seq) *)
   (* Freshness: the highest primary head seq seen on a watermark, and the
@@ -324,7 +333,7 @@ let enqueue_msg t sess msg = enqueue t sess (O_msg (Proto.render_server_msg msg)
 (* ---------------------------------------------------------------- *)
 (* Timeline pieces -> wire                                           *)
 
-let wire_instant i = Format.asprintf "%a" BX.pp_instant i
+let wire_instant i = Format.asprintf "%a" BF.pp_instant i
 
 let wire_piece = function
   | TL.At (i, s) -> Proto.P_at (wire_instant i, Oid.Set.elements s)
@@ -339,14 +348,42 @@ let gamma_start = Q.of_int (-1_000_000_000)
 
 let origin_gamma dim = T.stationary ~start:gamma_start (Qvec.zero dim)
 
-let gdist_of_kind t = function
-  | Proto.Sub_knn _ | Proto.Sub_range _ | Proto.Sub_gdist (Proto.Euclidean_sq, _) ->
-    Gdist.euclidean_sq ~gamma:(origin_gamma t.dim)
-  | Proto.Sub_gdist (Proto.Speed_sq, _) -> Gdist.speed_sq
+let gkey_of_kind = function
+  | Proto.Sub_knn _ | Proto.Sub_range _ | Proto.Sub_gdist (Proto.Euclidean_sq, _) -> G_origin
+  | Proto.Sub_gdist (Proto.Speed_sq, _) -> G_speed
   | Proto.Sub_agg _ ->
     (* never monitored through a single g-distance: the subscribe path
        builds one monitor per POI inside Agg.Cont instead *)
     invalid_arg "agg subscriptions have no single g-distance"
+
+let gdist_of_key t = function
+  | G_origin -> Gdist.euclidean_sq ~gamma:(origin_gamma t.dim)
+  | G_speed -> Gdist.speed_sq
+
+(* t.lock held.  Attach [query] to the sweep of [key], created on first
+   use. *)
+let attach t key query =
+  let m =
+    match List.assoc_opt key t.sweeps with
+    | Some m -> m
+    | None ->
+      Mon.shared ~sink:t.sink ~attr:t.cfg.hot_objects ~db:(Store.db t.store)
+        ~gdist:(gdist_of_key t key) ()
+  in
+  let q = Mon.attach m query in
+  if not (List.mem_assoc key t.sweeps) then t.sweeps <- t.sweeps @ [ (key, m) ];
+  S_mon (key, q)
+
+(* t.lock held.  Take a retiring subscription off its sweep; a sweep left
+   without queries goes with it. *)
+let release t = function
+  | S_mon (key, q) ->
+    (match List.assoc_opt key t.sweeps with
+     | Some m ->
+       Mon.detach m q;
+       if m.Mon.queries = [] then t.sweeps <- List.remove_assoc key t.sweeps
+     | None -> ())
+  | S_agg _ -> ()
 
 let query_of_kind kind ~lo ~hi =
   let interval = Fof.Interval.closed lo hi in
@@ -401,11 +438,14 @@ let push_agg_rows ?trace t sess sub (rows : Agg.row list) =
    rows) of [sub] to its session; retire the subscription once its whole
    interval is valid. *)
 let push_fresh ?trace t sess sub =
-  (match sub.body with
-   | S_mon mon -> push_wire ?trace t sess sub (List.map wire_piece (Mon.drain_valid mon))
-   | S_agg agg -> push_agg_rows ?trace t sess sub (AggX.Cont.drain_rows agg));
   let clk =
-    match sub.body with S_mon mon -> Mon.clock mon | S_agg agg -> AggX.Cont.clock agg
+    match sub.body with
+    | S_mon (key, q) ->
+      push_wire ?trace t sess sub (List.map wire_piece (Mon.drain q));
+      Mon.query_clock (List.assoc key t.sweeps) q
+    | S_agg agg ->
+      push_agg_rows ?trace t sess sub (AggF.Cont.drain_rows agg);
+      AggF.Cont.clock agg
   in
   if Q.compare clk sub.sub_hi >= 0 then begin
     (match sub.body with
@@ -414,43 +454,54 @@ let push_fresh ?trace t sess sub =
        (* the per-POI monitors never close their trailing spans on their
           own; finalize them so the last windows' rows flush before the
           completion marker *)
-       ignore (AggX.Cont.finalize agg);
-       push_agg_rows ?trace t sess sub (AggX.Cont.drain_rows agg));
+       ignore (AggF.Cont.finalize agg);
+       push_agg_rows ?trace t sess sub (AggF.Cont.drain_rows agg));
+    release t sub.body;
     Sink.count t.sink "moq_server_completed_subscriptions_total" 1;
     record t "sub_complete" [ ("sub", Json.Int sub.sub_id) ];
     enqueue_msg t sess (Proto.E_complete { sub = sub.sub_id });
     sess.subs <- List.filter (fun s -> s.sub_id <> sub.sub_id) sess.subs
   end
 
-(* t.lock held: apply one accepted update to every live subscription. *)
+(* t.lock held.  One sweep step: apply [u] through [step], time it as a
+   monitor step and log it when slow. *)
+let monitor_step t u ~source step =
+  let t0 = Unix.gettimeofday () in
+  (match step u with
+   | Ok () -> ()
+   | Error _ -> Sink.count t.sink "moq_server_fanout_errors_total" 1);
+  let dt_ms = (Unix.gettimeofday () -. t0) *. 1e3 in
+  Sink.observe t.sink "moq_stage_monitor_ns" (dt_ms *. 1e6);
+  if t.cfg.slow_query_ms > 0. && dt_ms > t.cfg.slow_query_ms then begin
+    Sink.count t.sink "moq_slowq_total" 1;
+    Sink.count t.sink "moq_slowq_monitor_total" 1;
+    let fields =
+      [ ("source", Json.Str "monitor"); source; ("ms", Json.Float dt_ms);
+        ("oid", Json.Int (U.oid u)) ]
+    in
+    record t "slow_monitor_step" fields;
+    Log.warn ~fields "slow monitor step"
+  end
+
+(* t.lock held: apply one accepted update once per sweep and once per
+   aggregation, then push every live subscription's fresh pieces. *)
 let fanout ?trace t u =
+  List.iter
+    (fun (key, m) ->
+      let g = match key with G_origin -> "origin" | G_speed -> "speed_sq" in
+      monitor_step t u ~source:("gdist", Json.Str g) (Mon.apply_update m))
+    t.sweeps;
   List.iter
     (fun sess ->
       List.iter
         (fun sub ->
-          let t0 = Unix.gettimeofday () in
-          (match
-             match sub.body with
-             | S_mon mon -> Mon.apply_update mon u
-             | S_agg agg -> AggX.Cont.apply_update agg u
-           with
-           | Ok () -> ()
-           | Error _ -> Sink.count t.sink "moq_server_fanout_errors_total" 1);
-          let dt_ms = (Unix.gettimeofday () -. t0) *. 1e3 in
-          Sink.observe t.sink "moq_stage_monitor_ns" (dt_ms *. 1e6);
-          if t.cfg.slow_query_ms > 0. && dt_ms > t.cfg.slow_query_ms then begin
-            Sink.count t.sink "moq_slowq_total" 1;
-            Sink.count t.sink "moq_slowq_monitor_total" 1;
-            let fields =
-              [ ("source", Json.Str "monitor"); ("sub", Json.Int sub.sub_id);
-                ("ms", Json.Float dt_ms); ("oid", Json.Int (U.oid u)) ]
-            in
-            record t "slow_monitor_step" fields;
-            Log.warn ~fields "slow monitor step"
-          end;
-          push_fresh ?trace t sess sub)
+          match sub.body with
+          | S_agg agg ->
+            monitor_step t u ~source:("sub", Json.Int sub.sub_id) (AggF.Cont.apply_update agg)
+          | S_mon _ -> ())
         sess.subs)
-    t.sessions
+    t.sessions;
+  List.iter (fun sess -> List.iter (push_fresh ?trace t sess) sess.subs) t.sessions
 
 (* qm must NOT be held.  Replication frames are O_msg (never dropped), so
    a follower that stops draining would grow the queue without bound —
@@ -498,6 +549,7 @@ let committed ?trace t u =
     in
     Sink.count t.sink "moq_repl_streamed_updates_total" (List.length followers);
     let enq = Unix.gettimeofday () in
+    if t.repl_handoff = None then t.repl_handoff <- Some enq;
     List.iter
       (fun sess -> enqueue_repl t sess (O_frame { msg; trace; wm = true; enq }))
       followers;
@@ -582,26 +634,18 @@ let update_gauges t =
   Registry.set (Registry.gauge t.reg "moq_server_connections")
     (float_of_int (List.length t.sessions));
   Registry.set (Registry.gauge t.reg "moq_server_subscriptions")
-    (float_of_int (List.fold_left (fun a s -> a + List.length s.subs) 0 t.sessions))
+    (float_of_int (List.fold_left (fun a s -> a + List.length s.subs) 0 t.sessions));
+  Registry.set (Registry.gauge t.reg "moq_server_sweeps") (float_of_int (List.length t.sweeps))
 
-(* t.lock held.  Merge per-object sweep-cost attribution across every live
-   subscription monitor and export the top-5 (plus their share of all
-   attributed comparisons) as rank-indexed gauges; likewise the costliest
+(* t.lock held.  Merge per-object sweep-cost attribution across the live
+   sweeps and export the top-5 (plus their share of all attributed
+   comparisons) as rank-indexed gauges; likewise the costliest
    subscriptions by fanout bytes.  Rank gauges left over from a previous
    publish simply go stale at their old values — readers key on the
    current ranks 0..4 only. *)
 let publish_hot t =
   Explain.publish_hot t.sink
-    (Explain.merge_hot
-       (List.concat_map
-          (fun sess ->
-            List.filter_map
-              (fun sub ->
-                match sub.body with
-                | S_mon mon -> Some (Mon.hot_objects mon)
-                | S_agg _ -> None)
-              sess.subs)
-          t.sessions));
+    (Explain.merge_hot (List.map (fun (_, m) -> Mon.hot_objects m) t.sweeps));
   let subs =
     with_lock t.acct_m (fun () ->
         Hashtbl.fold
@@ -683,14 +727,22 @@ let dispatch t sess (req : Proto.request) (attrs : Proto.attrs) ~arrival =
     else begin
       let trace = req_trace t attrs in
       record_link t attrs ~arrival;
-      let verdict = with_lock t.lock (fun () -> ingest_and_fanout ?trace t u) in
+      let verdict, handoff =
+        with_lock t.lock (fun () ->
+            t.repl_handoff <- None;
+            let v = ingest_and_fanout ?trace t u in
+            (v, t.repl_handoff))
+      in
       let t_done = Unix.gettimeofday () in
       Sink.observe t.sink "moq_stage_ingest_ns" ((t_done -. arrival) *. 1e9);
       (match trace with
        | Some c ->
+         (* the traced path leaves the primary when the replication frame
+            is queued; the queue span takes over from there *)
+         let t_end = Option.value handoff ~default:t_done in
          ignore
            (Trace.record ~ctx:(tctx c) t.tracer ~name:"dispatch" ~start:arrival
-              ~dur:(t_done -. arrival) ())
+              ~dur:(t_end -. arrival) ())
        | None -> ());
       enqueue_msg t sess (Proto.R_update (verdict_wire verdict));
       true
@@ -709,17 +761,12 @@ let dispatch t sess (req : Proto.request) (attrs : Proto.attrs) ~arrival =
             | Proto.Sub_agg { d; window; pois } ->
               let pois = List.map Qvec.of_list pois in
               let agg =
-                AggX.Cont.create ~sink:t.sink ~db:(Store.db t.store) ~pois ~d
+                AggF.Cont.create ~sink:t.sink ~db:(Store.db t.store) ~pois ~d
                   ~window ~lo ~hi ()
               in
               Sink.count t.sink "moq_agg_subscriptions_total" 1;
               S_agg agg
-            | _ ->
-              let gdist = gdist_of_kind t kind in
-              let query = query_of_kind kind ~lo ~hi in
-              S_mon
-                (Mon.create ~sink:t.sink ~attr:t.cfg.hot_objects
-                   ~db:(Store.db t.store) ~gdist ~query ())
+            | _ -> attach t (gkey_of_kind kind) (query_of_kind kind ~lo ~hi)
           in
           match mk_body () with
           | body ->
@@ -748,9 +795,11 @@ let dispatch t sess (req : Proto.request) (attrs : Proto.attrs) ~arrival =
           sess.subs <- List.filter (fun s -> s.sub_id <> sub_id) sess.subs;
           let pieces =
             match sub.body with
-            | S_mon mon -> List.map wire_piece (Mon.valid_timeline mon)
-            | S_agg agg -> List.map wire_row (AggX.Cont.rows agg)
+            | S_mon (key, q) ->
+              List.map wire_piece (Mon.timeline (List.assoc key t.sweeps) q)
+            | S_agg agg -> List.map wire_row (AggF.Cont.rows agg)
           in
+          release t sub.body;
           enqueue_msg t sess (Proto.R_unsubscribe { sub = sub_id; pieces }));
     true
   | Proto.Query { kind; lo; hi } ->
@@ -765,7 +814,7 @@ let dispatch t sess (req : Proto.request) (attrs : Proto.attrs) ~arrival =
         (Exec.Range b, Printf.sprintf "server query range bound=%s" (Q.to_string b))
     in
     let r =
-      X.run ~sink:t.sink ~backend:"exact" ~describe ~db ~gamma:(origin_gamma t.dim)
+      X.run ~sink:t.sink ~backend:"filtered" ~describe ~db ~gamma:(origin_gamma t.dim)
         ~lo ~hi query
     in
     let dur_ms = (Unix.gettimeofday () -. t0) *. 1e3 in
@@ -960,6 +1009,8 @@ let teardown t sess =
   Log.debug ~fields:[ ("session", Json.Int sess.sid) ] "session closed";
   if not t.crashed then
     with_lock t.lock (fun () ->
+        List.iter (fun sub -> release t sub.body) sess.subs;
+        sess.subs <- [];
         t.sessions <- List.filter (fun s -> s.sid <> sess.sid) t.sessions;
         update_gauges t)
 
@@ -1110,6 +1161,7 @@ let snapshot_reset t db =
   t.repl_seq <- 0;
   Queue.clear t.repl_backlog_q;
   t.repl_since_digest <- 0;
+  t.sweeps <- [];
   Sink.count t.sink "moq_repl_resets_total" 1;
   Log.info ~fields:[ ("epoch", Json.Int t.epoch) ]
     "snapshot reset: state replaced from primary image";
@@ -1403,10 +1455,10 @@ let start ?registry cfg =
            recorder = Recorder.create ~capacity:cfg.flight_capacity ();
            acct_m = Mutex.create (); subacct = Hashtbl.create 64;
            lock = Mutex.create ();
-           sessions = []; next_sid = 1; next_sub = 1; stopping = false;
+           sessions = []; sweeps = []; next_sid = 1; next_sub = 1; stopping = false;
            crashed = false; listen_fd; wake_r; wake_w; accept_thread = None;
            readers = []; epoch = fresh_epoch (); repl_seq = 0;
-           repl_backlog_q = Queue.create (); repl_since_digest = 0;
+           repl_backlog_q = Queue.create (); repl_since_digest = 0; repl_handoff = None;
            repl_pos = None; repl_connected = false; repl_divergence = 0;
            lag_target = 0; lag_anchor = 0.;
            repl_fd = None; repl_thread = None }

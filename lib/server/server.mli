@@ -5,7 +5,9 @@
     TCP or a Unix-domain socket.  Updates are globally serialized through
     the store — the paper's chronological-update discipline (Definition 3)
     becomes the admission rule of the wire — and fan out to every live
-    subscription, each backed by its own {!Moq_core.Monitor} instance.
+    subscription.  The subscriptions over one g-distance share one
+    {!Moq_core.Monitor} sweep, so an update costs one sweep step per
+    distinct g-distance, not one per subscription.
     Support-change pieces are pushed to subscribers the moment they become
     {e valid} in the sense of Definition 4 (no future update can change
     them), with per-subscription sequence numbers.
@@ -72,12 +74,12 @@ type config = {
       (** propagate [trace=] contexts and record pipeline spans; stage
           histograms are always collected regardless (default false) *)
   slow_query_ms : float;
-      (** a query or per-subscription monitor step slower than this
+      (** a query or monitor step (one per sweep) slower than this
           auto-captures its explain record into the structured log (and
           the flight recorder) and counts [moq_slowq_total]; 0 disables
           (default 250) *)
   hot_objects : bool;
-      (** per-object sweep-cost attribution inside subscription monitors,
+      (** per-object sweep-cost attribution inside the sweeps,
           exported as [moq_hot_*] gauges on STATS (default true) *)
   flight_capacity : int;
       (** flight-recorder ring size in events; 0 disables (default 2048) *)

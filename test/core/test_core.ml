@@ -20,6 +20,7 @@ module KnnF = Core.Knn.Make (BF)
 module Fof = Core.Fof
 module Gdist = Core.Gdist
 module Classify = Core.Classify
+module Gen = Moq_workload.Gen
 
 let q = Q.of_int
 let qs = Q.of_string
@@ -555,6 +556,89 @@ let test_monitor_theorem10_vs_sweep () =
 (* Classification                                                       *)
 (* ------------------------------------------------------------------ *)
 
+(* One sweep, many queries: every query attached to a shared monitor
+   streams exactly the pieces of its own one-query monitor, created when
+   the query attached and fed the same updates — queries attached before
+   and between updates, equal and distinct range bounds, k-NN with
+   k = 1..3, windows ending before, during and after the stream, and
+   queries detached mid-stream.  Small integer workloads make crossings
+   land on update instants and on other queries' bounds. *)
+let test_shared_sweep_matches_one_query () =
+  let oids s = String.concat "," (List.map string_of_int (Oid.Set.elements s)) in
+  let piece = function
+    | MonX.TL.At (i, s) -> Format.asprintf "[%a]{%s}" BX.pp_instant i (oids s)
+    | MonX.TL.Span (a, b, s) ->
+      Format.asprintf "(%a,%a){%s}" BX.pp_instant a BX.pp_instant b (oids s)
+  in
+  let window lo hi = Fof.Interval.closed (q lo) (q hi) in
+  (* (attach after this many updates, query, detach after this many) *)
+  let plan =
+    [ (0, Fof.within_q ~bound:(q 100) ~interval:(window 0 20), None);
+      (0, Fof.within_q ~bound:(q 100) ~interval:(window 0 9), None);
+      (0, Fof.within_q ~bound:(q 225) ~interval:(window 0 30), Some 6);
+      (0, Fof.nearest_q ~interval:(window 0 20), None);
+      (2, Fof.knn_q ~k:2 ~interval:(window 0 14), None);
+      (3, Fof.within_q ~bound:(q 50) ~interval:(window 1 20), None);
+      (4, Fof.knn_q ~k:3 ~interval:(window 2 11), None);
+      (5, Fof.within_q ~bound:(q 225) ~interval:(window 0 3), None);
+      (5, Fof.within_q ~bound:(q 400) ~interval:(window 5 20), Some 9);
+      (7, Fof.nearest_q ~interval:(window 7 20), None);
+      (8, Fof.within_q ~bound:(q 100) ~interval:(window 3 16), None) ]
+  in
+  (* seed 36 detaches a query at an instant where two objects cross *)
+  List.iter (fun seed ->
+    let db0 = Gen.uniform_db ~seed ~n:6 ~extent:12 ~speed:3 () in
+    let updates =
+      Gen.mixed_stream ~seed ~db:db0 ~start:(q 0) ~gap:(q 1) ~count:12 ~speed:3 ~extent:12 ()
+    in
+    let gdist = Gdist.euclidean_sq ~gamma:(T.stationary ~start:(q (-1000)) (Qvec.zero 2)) in
+    let shared = MonX.shared ~db:db0 ~gdist () in
+    (* per attached query: its handle and its reference *)
+    let live = ref [] in
+    let same a b =
+      match a, b with
+      | MonX.TL.At (i, s), MonX.TL.At (i', s') -> BX.compare_instant i i' = 0 && Oid.Set.equal s s'
+      | MonX.TL.Span (a, b, s), MonX.TL.Span (a', b', s') ->
+        BX.compare_instant a a' = 0 && BX.compare_instant b b' = 0 && Oid.Set.equal s s'
+      | _ -> false
+    in
+    let check (j, _, h, r) =
+      let got = MonX.drain h and want = MonX.drain_valid r in
+      if List.compare_lengths got want <> 0 || not (List.for_all2 same got want) then
+        Alcotest.failf "seed %d, query attached after %d updates: shared %s, own %s" seed j
+          (String.concat " " (List.map piece got))
+          (String.concat " " (List.map piece want))
+    in
+    let db = ref db0 in
+    List.iteri
+      (fun k u ->
+        List.iter
+          (fun (j, query, detach) ->
+            if j = k then begin
+              let r = MonX.create ~db:!db ~gdist ~query () in
+              let h = MonX.attach shared query in
+              live := (j, detach, h, r) :: !live
+            end)
+          plan;
+        List.iter check !live;
+        MonX.apply_update_exn shared u;
+        db := DB.apply_exn !db u;
+        List.iter (fun (_, _, _, r) -> MonX.apply_update_exn r u) !live;
+        List.iter check !live;
+        live :=
+          List.filter
+            (fun (_, detach, h, _) ->
+              if detach = Some (k + 1) then (MonX.detach shared h; false) else true)
+            !live)
+      updates;
+    List.iter
+      (fun (_, _, h, r) ->
+        Alcotest.(check (list string)) "validated timelines agree"
+          (List.map piece (MonX.valid_timeline r))
+          (List.map piece (MonX.timeline shared h)))
+      !live)
+    (List.init 10 (fun i -> i + 1) @ [ 36 ])
+
 let test_classify () =
   let db = line_db [ (1, q 0, q 1) ] in
   (* last update = 0 *)
@@ -606,6 +690,8 @@ let () =
         Alcotest.test_case "insert and remove" `Quick test_monitor_insert_and_remove;
         Alcotest.test_case "theorem 10 chdir query" `Quick test_monitor_theorem10_chdir_query;
         Alcotest.test_case "theorem 10 vs lazy sweep" `Quick test_monitor_theorem10_vs_sweep;
+        Alcotest.test_case "one sweep, many queries" `Quick
+          test_shared_sweep_matches_one_query;
       ]);
       ("classify", [ Alcotest.test_case "past/future/continuing" `Quick test_classify ]);
     ]

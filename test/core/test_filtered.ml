@@ -142,6 +142,18 @@ let test_filtered_equals_exact () =
   Alcotest.(check bool) "some hits" true (s.BFl.hits > 0);
   Alcotest.(check bool) "some misses (degenerate cases fell back)" true (s.BFl.misses > 0)
 
+(* The printed timeline is a wire token peers byte-compare: both backends
+   print `moq knn --seed 4 -n 20 -k 3`'s timeline byte for byte alike,
+   rational crossings of linear difference polynomials included. *)
+let test_printed_timeline_seed4 () =
+  let db = Gen.uniform_db ~seed:4 ~n:20 ~extent:100 ~speed:6 () in
+  check_workload "uniform seed 4, n 20" ~db ~gdist:euclid_origin ~k:3 ~lo:(q 0) ~hi:(q 50);
+  let rx = KnnX.run_obs ~sink:Sink.noop ~db ~gdist:euclid_origin ~k:3 ~lo:(q 0) ~hi:(q 50) in
+  let rf = KnnFl.run_obs ~sink:Sink.noop ~db ~gdist:euclid_origin ~k:3 ~lo:(q 0) ~hi:(q 50) in
+  Alcotest.(check string) "printed timeline"
+    (Format.asprintf "%a" KnnX.TL.pp rx.KnnX.timeline)
+    (Format.asprintf "%a" KnnFl.TL.pp rf.KnnFl.timeline)
+
 (* The counters survive the sink round-trip with the documented names. *)
 let test_publish () =
   BFl.reset_filter_stats ();
@@ -178,6 +190,8 @@ let () =
         [
           Alcotest.test_case "≥200 seeded workloads identical" `Slow
             test_filtered_equals_exact;
+          Alcotest.test_case "printed k-NN timeline, seed 4" `Quick
+            test_printed_timeline_seed4;
           Alcotest.test_case "publish counter names" `Quick test_publish;
           Alcotest.test_case "tangency forces exact fallback" `Quick
             test_tangency_forces_fallback;

@@ -222,6 +222,32 @@ let test_alg_to_rat () =
   Alcotest.(check bool) "rational" true (Alg.to_rat (Alg.of_int 3) <> None);
   Alcotest.(check bool) "irrational" true (Alg.to_rat (sqrt_alg 2) = None)
 
+(* The root of a degree-1 polynomial is the rational itself: it prints as
+   [2351/143], the token the filtered backend's linear fast path prints. *)
+let test_alg_linear_root_prints_rational () =
+  let p = QP.of_list [ q (-2351); q 143 ] in
+  match Alg.roots p with
+  | [ r ] ->
+    Alcotest.(check string) "printed token" "2351/143" (Format.asprintf "%a" Alg.pp r);
+    Alcotest.(check bool) "rational" true (Alg.to_rat r = Some (qs "2351/143"))
+  | l -> Alcotest.failf "expected one root, got %d" (List.length l)
+
+(* [to_float] depends on the number only: the positive root of 7t^2 - c,
+   isolated once by Sturm bisection and once from the bracket (0, c), gives
+   the same float for every c. *)
+let test_alg_to_float_bracket_independent () =
+  for c = 2 to 400 do
+    let p = poly [ -c; 0; 7 ] in
+    let sturm = List.find (fun r -> Alg.sign r > 0) (Alg.roots p) in
+    let bracketed = Alg.root_of_isolating_exn p ~lo:Q.zero ~hi:(q c) in
+    Alcotest.(check int) (Printf.sprintf "same number, c = %d" c) 0
+      (Alg.compare sturm bracketed);
+    let fresh = Alg.root_of_isolating_exn p ~lo:Q.zero ~hi:(q c) in
+    if Alg.to_float sturm <> Alg.to_float fresh then
+      Alcotest.failf "c = %d: %h from the Sturm bracket, %h from (0, %d)" c
+        (Alg.to_float sturm) (Alg.to_float fresh) c
+  done
+
 let arb_cubic =
   (* random cubic-ish polynomials with at least one root *)
   QCheck.map
@@ -370,6 +396,10 @@ let () =
         Alcotest.test_case "sign_of_poly_at" `Quick test_alg_sign_of_poly;
         Alcotest.test_case "rational_between" `Quick test_rational_between;
         Alcotest.test_case "to_rat" `Quick test_alg_to_rat;
+        Alcotest.test_case "linear root prints rational" `Quick
+          test_alg_linear_root_prints_rational;
+        Alcotest.test_case "to_float independent of the bracket" `Quick
+          test_alg_to_float_bracket_independent;
       ]);
       ("algnum-props", alg_props);
       ("froots", [

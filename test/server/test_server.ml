@@ -268,6 +268,158 @@ let test_subscription_matches_monitor () =
        | m -> Alcotest.failf "unsubscribe failed: %s" (Proto.render_server_msg m));
       Client.close c)
 
+(* 32 subscriptions over two sessions, each checked piece for piece
+   against its own one-query Exact monitor created when it subscribed:
+   range bounds (two equal), k-NN with k = 1..3, one speed_sq
+   subscription, different windows, subscriptions before and between the
+   updates, one unsubscribed mid-stream and some that run to completion.
+   The server holds one sweep per g-distance for all of them. *)
+let test_many_subscriptions_share_sweeps () =
+  with_server
+    ~tweak:(fun c -> { c with Server.max_subs_per_session = 16 })
+    (fun srv _dir db0 ->
+      let cs = [| connect srv; connect srv |] in
+      Array.iter (fun c -> ignore (hello c)) cs;
+      let origin = Gdist.euclidean_sq ~gamma:(origin_gamma (DB.dim db0)) in
+      let updates =
+        [ U.Chdir { oid = 1; tau = q 1; a = vec [ -3; 0 ] };
+          U.New { oid = 5; tau = q 2; a = vec [ 2; 2 ]; b = vec [ -10; -10 ] };
+          U.Chdir { oid = 2; tau = q 3; a = vec [ 0; 0 ] };
+          U.Chdir { oid = 4; tau = q 4; a = vec [ 1; -2 ] };
+          U.Terminate { oid = 3; tau = q 5 };
+          U.Chdir { oid = 5; tau = q 6; a = vec [ 0; -1 ] };
+          U.Chdir { oid = 1; tau = q 7; a = vec [ 2; 1 ] };
+          U.New { oid = 6; tau = q 8; a = vec [ -1; 1 ]; b = vec [ 6; -4 ] };
+          U.Chdir { oid = 2; tau = q 9; a = vec [ -2; 2 ] };
+          U.Chdir { oid = 6; tau = q 10; a = vec [ 3; 0 ] };
+          U.Chdir { oid = 4; tau = q 11; a = vec [ 0; 1 ] };
+          U.Chdir { oid = 5; tau = q 12; a = vec [ 1; 1 ] } ]
+      in
+      let kinds =
+        [| Proto.Sub_range (q 100); Proto.Sub_range (q 100); Proto.Sub_knn 1;
+           Proto.Sub_range (q 50); Proto.Sub_knn 2; Proto.Sub_range (q 400);
+           Proto.Sub_knn 3; Proto.Sub_range (q 900) |]
+      in
+      (* sub i: its kind, the update count it subscribes after, its window *)
+      let specs =
+        List.init 32 (fun i ->
+            let kind =
+              if i = 31 then Proto.Sub_gdist (Proto.Speed_sq, q 10)
+              else kinds.(i mod Array.length kinds)
+            in
+            let after = [| 0; 0; 0; 2; 4; 5; 7; 9 |].(i / 4) in
+            let lo = if i mod 2 = 0 then 0 else max 0 (after - 1) in
+            (kind, after, q lo, q (after + 4 + (i * 5 mod 19))))
+      in
+      let unsubscribe_at = (7, 6) (* sub 7, after six updates *) in
+      let reference_monitor db (kind, _, lo, hi) =
+        let interval = Fof.Interval.closed lo hi in
+        let gdist, query =
+          match kind with
+          | Proto.Sub_knn 1 -> (origin, Fof.nearest_q ~interval)
+          | Proto.Sub_knn k -> (origin, Fof.knn_q ~k ~interval)
+          | Proto.Sub_range b -> (origin, Fof.within_q ~bound:b ~interval)
+          | Proto.Sub_gdist (_, b) -> (Gdist.speed_sq, Fof.within_q ~bound:b ~interval)
+          | Proto.Sub_agg _ -> assert false
+        in
+        MonX.create ~db ~gdist ~query ()
+      in
+      (* per spec: (session, server sub id, reference, expected pieces) *)
+      let subs = Array.make 32 None in
+      let db = ref db0 in
+      let subscribe_due k =
+        List.iteri
+          (fun i ((kind, after, lo, hi) as spec) ->
+            if after = k then begin
+              let c = cs.(i mod 2) in
+              let id =
+                match req c (Proto.Subscribe { kind; lo; hi }) with
+                | Proto.R_subscribe { sub } -> sub
+                | m -> Alcotest.failf "subscribe %d: %s" i (Proto.render_server_msg m)
+              in
+              let mon = reference_monitor !db spec in
+              subs.(i) <- Some (i mod 2, id, mon, ref (List.map wire_piece (MonX.drain_valid mon)))
+            end)
+          specs
+      in
+      let gauge name =
+        match req cs.(0) (Proto.Stats `Prometheus) with
+        | Proto.R_stats text ->
+          List.find_map
+            (fun line ->
+              match String.split_on_char ' ' line with
+              | [ n; x ] when n = name -> Some x
+              | _ -> None)
+            (String.split_on_char '\n' text)
+        | m -> Alcotest.failf "stats: %s" (Proto.render_server_msg m)
+      in
+      List.iteri
+        (fun k u ->
+          subscribe_due k;
+          if k = snd unsubscribe_at then begin
+            let i = fst unsubscribe_at in
+            match subs.(i) with
+            | Some (sess, id, mon, _) ->
+              (match req cs.(sess) (Proto.Unsubscribe id) with
+               | Proto.R_unsubscribe { pieces; _ } ->
+                 Alcotest.(check bool) "retirement timeline matches the reference" true
+                   (pieces = List.map wire_piece (MonX.valid_timeline mon))
+               | m -> Alcotest.failf "unsubscribe: %s" (Proto.render_server_msg m))
+            | None -> Alcotest.fail "unsubscribed sub never subscribed"
+          end;
+          (match req cs.(0) (Proto.Update u) with
+           | Proto.R_update Proto.V_accepted -> ()
+           | m -> Alcotest.failf "update not accepted: %s" (Proto.render_server_msg m));
+          db := DB.apply_exn !db u;
+          Array.iteri
+            (fun i sub ->
+              match sub with
+              | Some (_, _, mon, expected) when i <> fst unsubscribe_at || k < snd unsubscribe_at ->
+                MonX.apply_update_exn mon u;
+                expected := !expected @ List.map wire_piece (MonX.drain_valid mon)
+              | _ -> ())
+            subs)
+        updates;
+      Alcotest.(check (option string)) "one sweep per g-distance" (Some "2")
+        (gauge "moq_server_sweeps");
+      Alcotest.(check (option string)) "two sweeps ever built" (Some "2")
+        (gauge "moq_monitor_created_total");
+      (* per session and server sub id: the pieces streamed, in order *)
+      let streamed = Hashtbl.create 32 and completed = Hashtbl.create 32 in
+      Array.iteri
+        (fun sess c ->
+          ignore (req c Proto.Ping);
+          List.iter
+            (function
+              | Proto.E_pieces { sub; first_seq; pieces } ->
+                let seq, got =
+                  Option.value ~default:(0, []) (Hashtbl.find_opt streamed (sess, sub))
+                in
+                Alcotest.(check int) "contiguous sequence" seq first_seq;
+                Hashtbl.replace streamed (sess, sub) (seq + List.length pieces, got @ pieces)
+              | Proto.E_complete { sub } -> Hashtbl.replace completed (sess, sub) ()
+              | Proto.E_dropped _ -> Alcotest.fail "no drops expected at this rate"
+              | _ -> ())
+            (Client.drain_events c))
+        cs;
+      let last_tau = U.time (List.nth updates (List.length updates - 1)) in
+      let ncompleted = ref 0 in
+      Array.iteri
+        (fun i sub ->
+          match sub with
+          | None -> Alcotest.failf "sub %d never subscribed" i
+          | Some (sess, id, _, expected) ->
+            let got = snd (Option.value ~default:(0, []) (Hashtbl.find_opt streamed (sess, id))) in
+            if got <> !expected then Alcotest.failf "sub %d: pushed stream differs from its reference" i;
+            let _, _, _, hi = List.nth specs i in
+            let due = i <> fst unsubscribe_at && Q.compare hi last_tau <= 0 in
+            if due then incr ncompleted;
+            Alcotest.(check bool) (Printf.sprintf "sub %d completion" i) due
+              (Hashtbl.mem completed (sess, id)))
+        subs;
+      Alcotest.(check bool) "some subscriptions ran to completion" true (!ncompleted > 0);
+      Array.iter Client.close cs)
+
 (* SUBSCRIBE agg end to end: the pushed P_agg rows equal a reference
    in-process Cont fed the same updates, the stream ends with
    EVENT-COMPLETE once the horizon is valid, and the fanout counters
@@ -860,7 +1012,9 @@ let () =
        [ Alcotest.test_case "stale and duplicate rejected" `Quick test_wire_rejection;
          Alcotest.test_case "quarantine graduates" `Quick test_quarantine_graduates ]);
       ("subscriptions",
-       [ Alcotest.test_case "stream matches reference monitor" `Quick
+       [ Alcotest.test_case "32 subscriptions, one sweep per g-distance" `Quick
+           test_many_subscriptions_share_sweeps;
+         Alcotest.test_case "stream matches reference monitor" `Quick
            test_subscription_matches_monitor;
          Alcotest.test_case "agg stream end to end" `Quick
            test_agg_subscription_end_to_end ]);
