@@ -1537,10 +1537,11 @@ let w1 () =
   (* Trace → segmentation → update stream, the real ingestion path: a
      GPS-style sampled trace from Gen.trace_like is quantised into a
      piecewise-linear stream, the [New]s seed the MOD and the rest drive
-     the continuous aggregation.  The incremental path (per-POI monitors,
-     ring-pruned watch sets, harvest-on-window-close) is timed against
-     the ground-truth baseline that sweeps the whole database once per
-     POI per window; both must produce bit-identical rows. *)
+     the continuous aggregation.  The incremental path (per-object
+     within-intervals per POI, each window's row computed once when the
+     clock passes its end) is timed against the ground-truth baseline
+     that sweeps the whole database once per POI per window; both must
+     produce bit-identical rows. *)
   let seed = 77 and n = 16 and steps = 16 in
   bench_seed := seed;
   bench_n := n;
@@ -1571,7 +1572,7 @@ let w1 () =
   in
   let run_incremental () =
     let cont =
-      AggX.Cont.create ~sink:!bench_sink ~cell:32.0 ~db ~pois ~d ~window ~lo
+      AggX.Cont.create ~sink:!bench_sink ~db ~pois ~d ~window ~lo
         ~hi ()
     in
     List.iter (AggX.Cont.apply_update_exn cont) rest;
@@ -1590,7 +1591,7 @@ let w1 () =
     (List.length samples) (List.length stream) st.Agg.pois st.Agg.windows;
   row "  incremental %.4f s, rescan %.4f s: %.1fx (gate: >= 5x, bit-identical)\n"
     t_inc t_scan speedup;
-  row "  watch sets: %d admitted / %d pruned; %d update(s) offered, %d forwarded\n"
+  row "  within d: %d (POI, object) pair(s); %d delivery(ies) pruned; %d update(s) offered, %d changed intervals\n"
     st.Agg.admitted st.Agg.pruned st.Agg.updates st.Agg.forwarded;
   (* The alibi query: 200 paired workloads decided on both the exact and
      the float-filtered backend; verdicts and earliest-meeting witnesses

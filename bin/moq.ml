@@ -808,8 +808,8 @@ let explain_report kind seed n k lo hi dbfile backend =
     match kind with
     | `Agg ->
       (* continuous POI aggregation over the generated workload: k POIs on
-         the extent diagonal, the monitor/harvest path under a short mixed
-         update stream; always evaluated on the exact backend *)
+         the extent diagonal, per-object within-intervals under a short
+         mixed update stream; always evaluated on the exact backend *)
       let pois = resolve_pois [] (max 1 k) in
       let cont =
         try
@@ -1172,12 +1172,12 @@ let stats_run seed n count gap dbfile updates_file store_dir every format backen
   let module Mon = Moq_core.Monitor.Make (B) in
   let module X = Exec.Make (B) in
   let m = Mon.create ~sink ~db ~gdist ~query () in
+  (* the monitor follows the log: every append, quarantine graduates too *)
   List.iter
     (fun u ->
-      match Store.ingest store san u with
-      | Sanitize.Accepted _ ->
-        (match Mon.apply_update m u with Ok () -> () | Error _ -> ())
-      | Sanitize.Rejected _ | Sanitize.Quarantined _ -> ())
+      List.iter
+        (fun a -> match Mon.apply_update m a with Ok () -> () | Error _ -> ())
+        (snd (Store.ingest store san u)))
     updates;
   ignore (Mon.audit_and_heal m);
   Explain.publish_hot sink (Mon.hot_objects m);

@@ -6,20 +6,28 @@
     end, the time-weighted average count over the window (density), and the
     number of distinct visitors.  Two evaluation strategies:
 
-    - {!Make.Cont} — incremental: one {!Moq_core.Monitor} per POI over a
-      {e watched} sub-database, fed update-by-update.  Aggregates fall out
-      of the sweep's support-change events; no per-window rescan ever
-      happens.  The watch set is pruned through the {!Moq_index.Grid}: a
-      POI only admits objects whose exact trajectory box comes within [d]
-      of it (ring-searched outward from the POI's cell), and objects are
-      admitted lazily when a later update steers them into reach.
-    - {!Make.rescan} — the baseline the bench gates against: an
-      independent full sweep ({!Moq_core.Sweep}) of the whole database per
-      POI per window.
+    - {!Make.Cont} — incremental, one object at a time.  A within-[d] query
+      has one constant curve, so its answer changes only where some
+      object's distance to the POI crosses [d] (Lemma 8); the crossings
+      between objects that a sweep spends its events on never change it.
+      Each POI therefore keeps, per object, the closed intervals of
+      [[lo, hi]] on which the object is within [d] ({!Within}).  An update
+      at [tau] touches its own object only: its intervals are cut at [tau]
+      and those of its new piece are added.  A piece whose exact minimum
+      distance lies beyond [d] adds nothing and isolates no root; an
+      outward-rounded float box around the piece settles most of those
+      before any exact arithmetic on their (often long) rationals.  A window
+      is final once the clock (the last update time) reaches its end: its
+      timeline is read off the intervals that meet it, and intervals that
+      end before it are dropped.
+    - {!Make.rescan} — the oracle and the baseline the bench gates against:
+      an independent full sweep ({!Moq_core.Sweep}) of the whole database
+      per POI per window.
 
-    Both produce bit-identical rows: the same canonical simplified
-    timeline is extracted per window and the same fold computes the row,
-    so equality is structural (the [w1] bench's exactness check). *)
+    Both produce bit-identical rows: each window's timeline is brought to
+    the same canonical form ({!Moq_core.Timeline.Make.simplify}) and the
+    same fold computes the row, so equality is structural (the [w1] bench's
+    exactness check). *)
 
 module Q = Moq_numeric.Rat
 module Qvec = Moq_geom.Vec.Qvec
@@ -27,7 +35,7 @@ module Oid = Moq_mod.Oid
 module T = Moq_mod.Trajectory
 module DB = Moq_mod.Mobdb
 module U = Moq_mod.Update
-module Grid = Moq_index.Grid
+module IV = Moq_numeric.Fintval
 module Sink = Moq_obs.Sink
 module Fof = Moq_core.Fof
 module Gdist = Moq_core.Gdist
@@ -46,10 +54,12 @@ type stats = {
   pois : int;
   windows : int;  (** windows per POI *)
   rows : int;  (** rows finalized so far *)
-  admitted : int;  (** watch admissions across POIs (initial + lazy) *)
-  pruned : int;  (** admission tests that kept an object out of a watch *)
+  admitted : int;  (** (POI, object) pairs that came within [d] *)
+  pruned : int;
+      (** deliveries (an object's trajectory at creation, its new piece at
+          an update, to one POI) decided beyond [d] without a root *)
   updates : int;  (** updates offered *)
-  forwarded : int;  (** update deliveries into per-POI monitors *)
+  forwarded : int;  (** update deliveries that changed a POI's intervals *)
 }
 
 let pp_row fmt r =
@@ -73,11 +83,11 @@ let window_bounds ~lo ~hi ~window i =
   (w0, w1)
 
 module Make (B : Moq_core.Backend.S) = struct
-  module Mon = Moq_core.Monitor.Make (B)
+  module W = Within.Make (B)
   module Sw = Moq_core.Sweep.Make (B)
   module TL = Moq_core.Timeline.Make (B)
 
-  let instant_of_q q = B.instant_of_scalar (B.scalar_of_rat q)
+  let instant_of_q = W.instant_of_q
   let cmp_iq i q = B.compare_instant_scalar i (B.scalar_of_rat q)
 
   (* One row from a window's canonical (simplified, boundary-closed)
@@ -112,62 +122,33 @@ module Make (B : Moq_core.Backend.S) = struct
       r_distinct = distinct;
     }
 
-  (* Clip a contiguous validated piece stream to [w0, w1], closing both
-     boundaries with explicit [At] pieces, then canonicalize. *)
-  let clip_window ~w0 ~w1 (pieces : TL.piece list) : TL.t =
-    let set_at wq =
-      let covers = function
-        | TL.At (i, _) -> cmp_iq i wq = 0
-        | TL.Span (a, b, _) -> cmp_iq a wq < 0 && cmp_iq b wq > 0
-      in
-      match List.find_opt covers pieces with
-      | Some p -> TL.set_of p
-      | None -> Oid.Set.empty
-    in
-    let w0i = instant_of_q w0 and w1i = instant_of_q w1 in
-    let middle =
-      List.filter_map
-        (fun p ->
-          match p with
-          | TL.At (i, _) ->
-            if cmp_iq i w0 > 0 && cmp_iq i w1 < 0 then Some p else None
-          | TL.Span (a, b, s) ->
-            if cmp_iq b w0 <= 0 || cmp_iq a w1 >= 0 then None
-            else begin
-              let a' = if cmp_iq a w0 < 0 then w0i else a in
-              let b' = if cmp_iq b w1 > 0 then w1i else b in
-              if B.compare_instant a' b' < 0 then Some (TL.Span (a', b', s))
-              else None
-            end)
-        pieces
-    in
-    TL.simplify ((TL.At (w0i, set_at w0) :: middle) @ [ TL.At (w1i, set_at w1) ])
-
   (* ---- incremental evaluation ---- *)
 
   module Cont = struct
     type pstate = {
       p_idx : int;
-      p_point : Qvec.t;
-      p_box : Grid.box;
-      p_mon : Mon.t;
-      mutable p_admitted : Oid.Set.t;
-      mutable p_pending : TL.piece list;  (** chronological, uncut *)
-      mutable p_covered : B.instant option;  (** end of the last pending piece *)
+      p_gdist : Gdist.t;  (** squared distance to the POI *)
+      p_iv : IV.t array;  (** the POI's coordinates, as float enclosures *)
+      mutable p_within : W.interval list Oid.Map.t;
+          (** per object: where it is within [d], ascending and maximal;
+              nothing that ends before window [p_next_w] starts *)
+      mutable p_met : Oid.Set.t;  (** objects that ever came within [d] *)
       mutable p_next_w : int;  (** next window index to finalize *)
       mutable p_rows : row list;  (** finalized, reversed *)
-      mutable p_drained : int;  (** prefix of (rev p_rows) already drained *)
+      mutable p_fresh : row list;  (** finalized since the last drain, reversed *)
     }
 
     type t = {
       mutable db : DB.t;
       d2 : Q.t;
+      d2_hi : float;  (** a float at or above [d2] *)
       window : Q.t;
       lo : Q.t;
       hi : Q.t;
       nw : int;
       sink : Sink.t;
       ps : pstate array;
+      mutable clock : Q.t;  (** no update can arrive at or before this time *)
       mutable s_admitted : int;
       mutable s_pruned : int;
       mutable s_updates : int;
@@ -175,221 +156,227 @@ module Make (B : Moq_core.Backend.S) = struct
       mutable s_rows : int;
     }
 
-    let point_box (p : Qvec.t) : Grid.box =
-      let x = Qvec.get p 0 in
-      let y = if Qvec.dim p > 1 then Qvec.get p 1 else Q.zero in
-      { Grid.x0 = x; x1 = x; y0 = y; y1 = y }
-
-    let watches ~d2 (pb : Grid.box) (tr : T.t) ~lo ~hi =
-      match Grid.trajectory_box tr ~lo ~hi with
-      | None -> false
-      | Some b -> Q.compare (Grid.box_separation_sq pb b) d2 <= 0
-
-    (* Candidate OIDs for a POI, by expanding grid rings from its cell:
-       any object ever within [d] of the POI has a trajectory piece
-       bucketed in a cell whose square touches the POI's d-ball, and such
-       cells sit within Chebyshev ring ⌈d/cell⌉ + 1 of the POI's cell. *)
-    let ring_candidates grid ~cell (p : Qvec.t) ~(d : float) =
-      let x = Q.to_float (Qvec.get p 0) in
-      let y = if Qvec.dim p > 1 then Q.to_float (Qvec.get p 1) else 0.0 in
-      let center = Grid.cell_of ~cell (x, y) in
-      let reach = min (Grid.max_ring grid ~center)
-          (int_of_float (Float.ceil (d /. cell)) + 1)
+    (* Float boxes around the positions [tr] takes on [[from_, hi]], one
+       per piece: per coordinate, outward-rounded bounds of the segment the
+       piece sweeps.  Shared by every POI an object is delivered to. *)
+    let boxes t tr ~from_ =
+      let rec go = function
+        | [] -> []
+        | (pc : T.piece) :: rest ->
+          let s = Q.max pc.T.start from_ in
+          let e =
+            match rest, T.death tr with
+            | next :: _, _ -> Q.min next.T.start t.hi
+            | [], Some e -> Q.min e t.hi
+            | [], None -> t.hi
+          in
+          if Q.compare s e > 0 then go rest
+          else begin
+            let at x i =
+              IV.add (IV.mul (IV.of_rat (Qvec.get pc.T.a i)) (IV.of_rat x))
+                (IV.of_rat (Qvec.get pc.T.b i))
+            in
+            Array.init (Qvec.dim pc.T.a) (fun i ->
+                let u = at s i and v = at e i in
+                (Float.min (IV.lo u) (IV.lo v), Float.max (IV.hi u) (IV.hi v)))
+            :: go rest
+          end
       in
-      let acc = ref Oid.Set.empty in
-      for ring = 0 to reach do
-        List.iter
-          (fun o -> acc := Oid.Set.add o !acc)
-          (Grid.ring_candidates grid ~center ~ring)
-      done;
-      !acc
+      go (T.pieces tr)
 
-    let query_of t =
-      Fof.within_q ~bound:t.d2 ~interval:(Fof.Interval.closed t.lo t.hi)
+    (* A float lower bound on the squared distance from [p] to [box]. *)
+    let separation2 p box =
+      let sq = ref (IV.of_int 0) in
+      Array.iteri
+        (fun i (l, h) ->
+          let pl = IV.lo p.p_iv.(i) and ph = IV.hi p.p_iv.(i) in
+          let gap =
+            if l > ph then IV.lo (IV.sub (IV.point l) (IV.point ph))
+            else if h < pl then IV.lo (IV.sub (IV.point pl) (IV.point h))
+            else 0.
+          in
+          let g = IV.point (Float.max 0. gap) in
+          sq := IV.add !sq (IV.mul g g))
+        box;
+      IV.lo !sq
 
-    let create ?(sink = Sink.noop) ?(cell = 256.0) ~(db : DB.t)
-        ~(pois : Qvec.t list) ~(d : Q.t) ~(window : Q.t) ~(lo : Q.t)
-        ~(hi : Q.t) () : t =
+    (* Deliver [tr]'s trajectory on [[from_, hi]] to [p]: its
+       within-intervals there, counted as an admission the first time the
+       object comes within [d], as pruned when none exist.  Boxes surely
+       beyond [d] settle it before any exact arithmetic. *)
+    let deliver t p o tr ~from_ ~boxes =
+      let ivs =
+        if List.for_all (fun b -> separation2 p b > t.d2_hi) boxes then []
+        else W.intervals (Gdist.curve p.p_gdist tr) ~bound:t.d2 ~lo:from_ ~hi:t.hi
+      in
+      if ivs = [] then t.s_pruned <- t.s_pruned + 1
+      else if not (Oid.Set.mem o p.p_met) then begin
+        p.p_met <- Oid.Set.add o p.p_met;
+        t.s_admitted <- t.s_admitted + 1
+      end;
+      ivs
+
+    (* The intervals as the trajectory up to [tau] leaves them; the list
+       itself when none reaches past [tau]. *)
+    let rec cut_at tau = function
+      | [] -> []
+      | (iv : W.interval) :: rest as l ->
+        if cmp_iq iv.W.l tau > 0 then []
+        else if cmp_iq iv.W.r tau > 0 then [ { iv with W.r = instant_of_q tau } ]
+        else begin
+          let rest' = cut_at tau rest in
+          if rest' == rest then l else iv :: rest'
+        end
+
+    (* The canonical timeline of window [[w0, w1]]: an object is in the
+       answer exactly on its intervals, so the answer can change only at
+       their ends.  Walk those ends in order; at each instant the answer
+       is the objects inside plus those whose interval opens there, and
+       the span after it loses those whose interval closes there. *)
+    let window_timeline p ~w0 ~w1 : TL.t =
+      let w0i = instant_of_q w0 and w1i = instant_of_q w1 in
+      let clip i = if cmp_iq i w0 < 0 then w0i else if cmp_iq i w1 > 0 then w1i else i in
+      let ends =
+        Oid.Map.fold
+          (fun o ivs acc ->
+            List.fold_left
+              (fun acc (iv : W.interval) ->
+                if cmp_iq iv.W.r w0 < 0 || cmp_iq iv.W.l w1 > 0 then acc
+                else (clip iv.W.l, Some (o, true)) :: (clip iv.W.r, Some (o, false)) :: acc)
+              acc ivs)
+          p.p_within [ (w1i, None) ]
+      in
+      (* stable: an interval's opening stays ahead of its closing *)
+      let ends = (w0i, None) :: List.stable_sort (fun (a, _) (b, _) -> B.compare_instant a b) ends in
+      let rec walk prev inside = function
+        | [] -> []
+        | (i, _) :: _ as l ->
+          let rec take at after = function
+            | (j, m) :: rest when B.compare_instant i j = 0 -> (
+              match m with
+              | Some (o, true) -> take (Oid.Set.add o at) (Oid.Set.add o after) rest
+              | Some (o, false) -> take at (Oid.Set.remove o after) rest
+              | None -> take at after rest)
+            | rest -> (at, after, rest)
+          in
+          let at, after, rest = take inside inside l in
+          let pieces = TL.At (i, at) :: walk (Some i) after rest in
+          (match prev with Some a -> TL.Span (a, i, inside) :: pieces | None -> pieces)
+      in
+      TL.simplify (walk None Oid.Set.empty ends)
+
+    (* Finalize every window of [p] the clock has passed, dropping the
+       intervals that end before the finalized boundary. *)
+    let rec finalize_ready t p =
+      if p.p_next_w < t.nw then begin
+        let w0, w1 = window_bounds ~lo:t.lo ~hi:t.hi ~window:t.window p.p_next_w in
+        if Q.compare w1 t.clock <= 0 then begin
+          let row =
+            row_of_timeline ~poi:p.p_idx ~widx:p.p_next_w ~w0 ~w1 (window_timeline p ~w0 ~w1)
+          in
+          p.p_rows <- row :: p.p_rows;
+          p.p_fresh <- row :: p.p_fresh;
+          p.p_next_w <- p.p_next_w + 1;
+          t.s_rows <- t.s_rows + 1;
+          if Sink.active t.sink then begin
+            Sink.count t.sink "moq_agg_rows_total" 1;
+            Sink.count t.sink "moq_agg_windows_total" 1
+          end;
+          p.p_within <-
+            Oid.Map.filter_map
+              (fun _ ivs ->
+                match List.filter (fun (iv : W.interval) -> cmp_iq iv.W.r w1 >= 0) ivs with
+                | [] -> None
+                | l -> Some l)
+              p.p_within;
+          finalize_ready t p
+        end
+      end
+
+    let create ?(sink = Sink.noop) ~(db : DB.t) ~(pois : Qvec.t list) ~(d : Q.t)
+        ~(window : Q.t) ~(lo : Q.t) ~(hi : Q.t) () : t =
       if Q.sign d < 0 then invalid_arg "Agg.Cont.create: d must be >= 0";
       let nw = window_count ~lo ~hi ~window in
+      let pstate i point =
+        if Qvec.dim point <> DB.dim db then
+          invalid_arg "Agg.Cont.create: POI dimension differs from the MOD's";
+        { p_idx = i; p_gdist = Gdist.distance_sq_to_point point;
+          p_iv = Array.init (Qvec.dim point) (fun k -> IV.of_rat (Qvec.get point k));
+          p_within = Oid.Map.empty; p_met = Oid.Set.empty; p_next_w = 0; p_rows = [];
+          p_fresh = [] }
+      in
       let d2 = Q.mul d d in
-      let grid = Grid.build ~cell ~lo ~hi db in
-      let n = DB.cardinal db in
       let t =
-        {
-          db;
-          d2;
-          window;
-          lo;
-          hi;
-          nw;
-          sink;
-          ps = [||];
-          s_admitted = 0;
-          s_pruned = 0;
-          s_updates = 0;
-          s_forwarded = 0;
-          s_rows = 0;
-        }
+        { db; d2; d2_hi = IV.hi (IV.of_rat d2); window; lo; hi; nw; sink;
+          ps = Array.of_list (List.mapi pstate pois);
+          clock = Q.max lo (Q.min hi (DB.last_update db));
+          s_admitted = 0; s_pruned = 0; s_updates = 0; s_forwarded = 0; s_rows = 0 }
       in
-      let query = query_of t in
-      let mk_pstate i point =
-        let pb = point_box point in
-        let candidates =
-          ring_candidates grid ~cell point ~d:(Q.to_float d)
-        in
-        let admitted =
-          Oid.Set.filter
-            (fun o ->
-              match DB.find db o with
-              | Some tr -> watches ~d2 pb tr ~lo ~hi
-              | None -> false)
-            candidates
-        in
-        t.s_admitted <- t.s_admitted + Oid.Set.cardinal admitted;
-        t.s_pruned <- t.s_pruned + (n - Oid.Set.cardinal admitted);
-        let sub =
-          Oid.Set.fold
-            (fun o acc ->
-              match DB.find db o with
-              | Some tr -> DB.add_initial acc o tr
-              | None -> acc)
-            admitted
-            (DB.empty ~dim:(DB.dim db) ~tau:(DB.last_update db))
-        in
-        let mon =
-          Mon.create ~sink ~db:sub ~gdist:(Gdist.distance_sq_to_point point)
-            ~query ()
-        in
-        {
-          p_idx = i;
-          p_point = point;
-          p_box = pb;
-          p_mon = mon;
-          p_admitted = admitted;
-          p_pending = [];
-          p_covered = None;
-          p_next_w = 0;
-          p_rows = [];
-          p_drained = 0;
-        }
-      in
-      let ps = Array.of_list (List.mapi mk_pstate pois) in
-      let t = { t with ps } in
+      List.iter
+        (fun (o, tr) ->
+          let boxes = boxes t tr ~from_:lo in
+          Array.iter
+            (fun p ->
+              match deliver t p o tr ~from_:lo ~boxes with
+              | [] -> ()
+              | ivs -> p.p_within <- Oid.Map.add o ivs p.p_within)
+            t.ps)
+        (DB.objects db);
       if Sink.active sink then begin
-        Sink.count sink "moq_agg_pois" (Array.length ps);
+        Sink.count sink "moq_agg_pois" (Array.length t.ps);
         Sink.count sink "moq_agg_watch_admitted_total" t.s_admitted;
         Sink.count sink "moq_agg_watch_pruned_total" t.s_pruned
       end;
+      Array.iter (finalize_ready t) t.ps;
       t
 
-    (* Fold freshly validated monitor pieces into the pending buffer and
-       finalize every window the buffer now covers. *)
-    let harvest t (p : pstate) =
-      let fresh = Mon.drain_valid p.p_mon in
-      if fresh <> [] then begin
-        p.p_pending <- p.p_pending @ fresh;
-        let last_end = function
-          | TL.At (i, _) -> i
-          | TL.Span (_, b, _) -> b
-        in
-        p.p_covered <- Some (last_end (List.nth fresh (List.length fresh - 1)))
-      end;
-      let covered_through wq =
-        match p.p_covered with None -> false | Some i -> cmp_iq i wq >= 0
-      in
-      let rec finalize_ready () =
-        if p.p_next_w < t.nw then begin
-          let w0, w1 = window_bounds ~lo:t.lo ~hi:t.hi ~window:t.window p.p_next_w in
-          if covered_through w1 then begin
-            let tl = clip_window ~w0 ~w1 p.p_pending in
-            let row = row_of_timeline ~poi:p.p_idx ~widx:p.p_next_w ~w0 ~w1 tl in
-            p.p_rows <- row :: p.p_rows;
-            p.p_next_w <- p.p_next_w + 1;
-            t.s_rows <- t.s_rows + 1;
-            if Sink.active t.sink then begin
-              Sink.count t.sink "moq_agg_rows_total" 1;
-              Sink.count t.sink "moq_agg_windows_total" 1
-            end;
-            (* drop pieces wholly before the finalized boundary *)
-            p.p_pending <-
-              List.filter
-                (fun piece ->
-                  match piece with
-                  | TL.At (i, _) -> cmp_iq i w1 >= 0
-                  | TL.Span (_, b, _) -> cmp_iq b w1 > 0)
-                p.p_pending;
-            finalize_ready ()
-          end
-        end
-      in
-      finalize_ready ()
-
-    (* Lazily admit [o] into [p]'s watch from time [tau]: synthesize the
-       [New] the monitor needs (Monitor inserts unknown objects on New),
-       anchored so the sub-database trajectory matches the global one from
-       [tau] on. *)
-    let admit_from t (p : pstate) o (tau : Q.t) =
-      match DB.find t.db o with
-      | None -> ()
-      | Some tr -> (
-        match T.position tr tau, T.velocity_after tr tau with
-        | Some pos, Some v ->
-          let b = Qvec.sub pos (Qvec.scale tau v) in
-          Mon.apply_update_exn p.p_mon (U.New { oid = o; tau; a = v; b });
-          p.p_admitted <- Oid.Set.add o p.p_admitted;
-          t.s_admitted <- t.s_admitted + 1;
-          t.s_forwarded <- t.s_forwarded + 1;
-          if Sink.active t.sink then
-            Sink.count t.sink "moq_agg_watch_admitted_total" 1
-        | _ -> ())
-
+    (* An update at [tau] touches its own object only: each POI cuts the
+       object's intervals at [tau] and adds those of its new piece. *)
     let apply_update t (u : U.t) : (unit, DB.error) result =
       match DB.apply t.db u with
       | Error e -> Error e
       | Ok db' ->
         t.db <- db';
         t.s_updates <- t.s_updates + 1;
-        if Sink.active t.sink then Sink.count t.sink "moq_agg_updates_total" 1;
-        let o = U.oid u in
-        let tau = U.time u in
+        let o = U.oid u and tau = U.time u in
+        (* the object's new piece, while it can still reach a window *)
+        let next =
+          match u, DB.find db' o with
+          | U.Terminate _, _ | _, None -> None
+          | _ when Q.compare tau t.hi > 0 -> None
+          | U.New { a; b; _ }, Some _ -> Some (T.linear ~start:tau ~a ~b)
+          | U.Chdir { a; _ }, Some tr ->
+            let b = Qvec.sub (T.position_exn tr tau) (Qvec.scale tau a) in
+            Some (T.linear ~start:tau ~a ~b)
+        in
+        let from_ = Q.max tau t.lo in
+        let next = Option.map (fun tr -> (tr, boxes t tr ~from_)) next in
+        let admitted = t.s_admitted and pruned = t.s_pruned in
         Array.iter
           (fun p ->
-            if Oid.Set.mem o p.p_admitted then begin
-              Mon.apply_update_exn p.p_mon u;
-              t.s_forwarded <- t.s_forwarded + 1
-            end
-            else begin
-              match u with
-              | U.Terminate _ -> ()
-              | U.New _ | U.Chdir _ ->
-                if Q.compare tau t.hi <= 0 then begin
-                  let from_ = Q.max tau t.lo in
-                  let reaches =
-                    match DB.find db' o with
-                    | Some tr -> watches ~d2:t.d2 p.p_box tr ~lo:from_ ~hi:t.hi
-                    | None -> false
-                  in
-                  if reaches then begin
-                    match u with
-                    | U.New _ ->
-                      Mon.apply_update_exn p.p_mon u;
-                      p.p_admitted <- Oid.Set.add o p.p_admitted;
-                      t.s_admitted <- t.s_admitted + 1;
-                      t.s_forwarded <- t.s_forwarded + 1;
-                      if Sink.active t.sink then
-                        Sink.count t.sink "moq_agg_watch_admitted_total" 1
-                    | _ -> admit_from t p o tau
-                  end
-                  else begin
-                    t.s_pruned <- t.s_pruned + 1;
-                    if Sink.active t.sink then
-                      Sink.count t.sink "moq_agg_watch_pruned_total" 1
-                  end
-                end
-            end;
-            harvest t p)
+            let old = Option.value ~default:[] (Oid.Map.find_opt o p.p_within) in
+            let kept = cut_at tau old in
+            let added =
+              match next with
+              | Some (tr, boxes) -> deliver t p o tr ~from_ ~boxes
+              | None -> []
+            in
+            if kept != old || added <> [] then begin
+              t.s_forwarded <- t.s_forwarded + 1;
+              match List.rev (List.fold_left W.push (List.rev kept) added) with
+              | [] -> p.p_within <- Oid.Map.remove o p.p_within
+              | ivs -> p.p_within <- Oid.Map.add o ivs p.p_within
+            end)
           t.ps;
+        t.clock <- Q.max t.clock (Q.min tau t.hi);
+        Array.iter (finalize_ready t) t.ps;
+        if Sink.active t.sink then begin
+          Sink.count t.sink "moq_agg_updates_total" 1;
+          if t.s_admitted > admitted then
+            Sink.count t.sink "moq_agg_watch_admitted_total" (t.s_admitted - admitted);
+          if t.s_pruned > pruned then
+            Sink.count t.sink "moq_agg_watch_pruned_total" (t.s_pruned - pruned)
+        end;
         Ok ()
 
     let apply_update_exn t u =
@@ -398,39 +385,24 @@ module Make (B : Moq_core.Backend.S) = struct
       | Error e ->
         invalid_arg (Format.asprintf "Agg.Cont.apply_update: %a" DB.pp_error e)
 
-    let advance_clock t (tau : Q.t) =
-      Array.iter
-        (fun p ->
-          Mon.advance_clock p.p_mon tau;
-          harvest t p)
-        t.ps
+    let rows t = Array.to_list t.ps |> List.concat_map (fun p -> List.rev p.p_rows)
 
+    (* No more updates will arrive: every window becomes final. *)
     let finalize t : row list =
-      Array.iter
-        (fun p ->
-          ignore (Mon.finalize p.p_mon);
-          harvest t p)
-        t.ps;
-      Array.to_list t.ps
-      |> List.concat_map (fun p -> List.rev p.p_rows)
+      t.clock <- t.hi;
+      Array.iter (finalize_ready t) t.ps;
+      rows t
 
     (* Rows finalized since the previous drain, (poi, window) ascending. *)
     let drain_rows t : row list =
       Array.to_list t.ps
       |> List.concat_map (fun p ->
-             let all = List.rev p.p_rows in
-             let fresh =
-               List.filteri (fun i _ -> i >= p.p_drained) all
-             in
-             p.p_drained <- List.length all;
+             let fresh = List.rev p.p_fresh in
+             p.p_fresh <- [];
              fresh)
 
-    let rows t = Array.to_list t.ps |> List.concat_map (fun p -> List.rev p.p_rows)
-
-    let clock t =
-      Array.fold_left
-        (fun acc p -> Q.min acc (Mon.clock p.p_mon))
-        t.hi t.ps
+    (* Every row up to here is final; with no POI, all of them are. *)
+    let clock t = if Array.length t.ps = 0 then t.hi else t.clock
 
     let stats t : stats =
       {

@@ -314,12 +314,9 @@ let to_text t =
      line "aggregation";
      line "  pois          %d, %d window(s) each" a.a_pois a.a_windows;
      line "  rows          %d finalized" a.a_rows;
-     line "  watch         %d admitted, %d pruned" a.a_admitted a.a_pruned;
-     let pop = a.a_admitted + a.a_pruned in
-     if pop > 0 then
-       line "  prune rate    %.1f%%"
-         (100. *. float_of_int a.a_pruned /. float_of_int pop);
-     line "  updates       %d offered, %d forwarded into POI monitors"
+     line "  watch         %d (POI, object) pair(s) within d, %d delivery(ies) pruned"
+       a.a_admitted a.a_pruned;
+     line "  updates       %d offered, %d changed a POI's intervals"
        a.a_updates a.a_forwarded);
   (match top_hot t with
    | [] -> ()

@@ -64,10 +64,10 @@ type agg = {
   a_pois : int;      (** places of interest *)
   a_windows : int;   (** tumbling windows per POI *)
   a_rows : int;      (** rows finalized *)
-  a_admitted : int;  (** watch admissions across POIs (initial + lazy) *)
-  a_pruned : int;    (** admission tests that kept an object out *)
+  a_admitted : int;  (** (POI, object) pairs that came within d *)
+  a_pruned : int;    (** deliveries to a POI decided beyond d without a root *)
   a_updates : int;   (** updates offered to the aggregation *)
-  a_forwarded : int; (** update deliveries into per-POI monitors *)
+  a_forwarded : int; (** update deliveries that changed a POI's intervals *)
 }
 
 (** Per-object attribution, hottest first. *)

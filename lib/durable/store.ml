@@ -228,10 +228,11 @@ let append (t : t) u =
 
 let ingest (t : t) san u =
   let v = Sanitize.classify san t.db u in
+  let appended = ref [] in
   (match v with
    | Sanitize.Accepted _ ->
      (match append t u with
-      | Ok () -> ()
+      | Ok () -> appended := [ u ]
       | Error _ -> () (* unreachable: classify just accepted against t.db *));
      (* an accept can unblock quarantined updates (e.g. the [new] a
         quarantined [chdir] was waiting for); drain until a fixpoint *)
@@ -243,7 +244,11 @@ let ingest (t : t) san u =
            (fun (hu, _) ->
              match Sanitize.classify san t.db hu with
              | Sanitize.Accepted _ ->
-               (match append t hu with Ok () -> progress := true | Error _ -> ())
+               (match append t hu with
+                | Ok () ->
+                  appended := hu :: !appended;
+                  progress := true
+                | Error _ -> ())
              | Sanitize.Rejected _ | Sanitize.Quarantined _ -> ())
            held;
          if !progress then drain ()
@@ -251,6 +256,6 @@ let ingest (t : t) san u =
      in
      drain ()
    | Sanitize.Rejected _ | Sanitize.Quarantined _ -> ());
-  v
+  (v, List.rev !appended)
 
 let close (t : t) = Wal.close t.wal

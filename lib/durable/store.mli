@@ -76,11 +76,13 @@ val append : t -> U.t -> (unit, DB.error) result
     advance.  A rejected update leaves both the log and the database
     untouched. *)
 
-val ingest : t -> Sanitize.t -> U.t -> Sanitize.verdict
+val ingest : t -> Sanitize.t -> U.t -> Sanitize.verdict * U.t list
 (** Run one update through the sanitizer against the store's database.
     Accepts are logged via {!append}; an accept then drains the sanitizer's
     quarantine, logging any updates it releases.  Rejects and quarantines
-    leave the store untouched.  Never raises. *)
+    leave the store untouched.  Returns the verdict on the offered update
+    and every update appended, in log order: the offered one first when
+    accepted, then the quarantine graduates.  Never raises. *)
 
 val db : t -> DB.t
 val clock : t -> Q.t

@@ -22,10 +22,9 @@ let all =
     (* continuous POI aggregation (lib/agg) *)
     ("moq_agg_pois", "places of interest registered across aggregations");
     ( "moq_agg_watch_admitted_total",
-      "objects admitted into a POI's watch set (initial scan + lazy admission)"
-    );
+      "(POI, object) pairs that came within d of the POI" );
     ( "moq_agg_watch_pruned_total",
-      "admission tests that kept an object out of a POI's watch set" );
+      "trajectory deliveries to a POI decided beyond d without a root" );
     ("moq_agg_updates_total", "updates offered to continuous aggregations");
     ("moq_agg_rows_total", "window rows finalized across all POIs");
     ("moq_agg_windows_total", "tumbling windows closed across all POIs");

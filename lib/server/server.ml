@@ -352,8 +352,8 @@ let gkey_of_kind = function
   | Proto.Sub_knn _ | Proto.Sub_range _ | Proto.Sub_gdist (Proto.Euclidean_sq, _) -> G_origin
   | Proto.Sub_gdist (Proto.Speed_sq, _) -> G_speed
   | Proto.Sub_agg _ ->
-    (* never monitored through a single g-distance: the subscribe path
-       builds one monitor per POI inside Agg.Cont instead *)
+    (* never monitored through a g-distance sweep: Agg.Cont keeps
+       per-object within-intervals per POI instead *)
     invalid_arg "agg subscriptions have no single g-distance"
 
 let gdist_of_key t = function
@@ -451,9 +451,8 @@ let push_fresh ?trace t sess sub =
     (match sub.body with
      | S_mon _ -> ()
      | S_agg agg ->
-       (* the per-POI monitors never close their trailing spans on their
-          own; finalize them so the last windows' rows flush before the
-          completion marker *)
+       (* every window closes once the clock reaches hi; finalize anyway
+          so no row can trail the completion marker *)
        ignore (AggF.Cont.finalize agg);
        push_agg_rows ?trace t sess sub (AggF.Cont.drain_rows agg));
     release t sub.body;

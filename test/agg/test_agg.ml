@@ -1,8 +1,8 @@
 (* The aggregation subsystem's two exactness contracts:
 
-   1. incremental ≡ rescan: the per-POI monitors fed update-by-update,
-      with grid-pruned lazy admission, produce row-for-row bit-identical
-      aggregates to a full per-window per-POI sweep of the final database;
+   1. incremental ≡ rescan: the per-object within-intervals fed
+      update-by-update produce row-for-row bit-identical aggregates to a
+      full per-window per-POI sweep of the final database;
    2. alibi exact ≡ filtered, and both are consistent with dense rational
       sampling of the inter-object distance (200-workload property suite,
       the acceptance gate of ISSUE 10). *)
@@ -51,7 +51,7 @@ let check_cont_vs_rescan ~seed ~n ~k ~d ~window ~lo ~hi ~updates () =
   in
   let pois = pois_near ~seed ~k db in
   let cont =
-    AggX.Cont.create ~cell:32.0 ~db ~pois ~d ~window ~lo ~hi ()
+    AggX.Cont.create ~db ~pois ~d ~window ~lo ~hi ()
   in
   List.iter (AggX.Cont.apply_update_exn cont) stream;
   let inc_rows = AggX.Cont.finalize cont in
@@ -107,7 +107,7 @@ let test_cont_ingested_trace () =
   let lo = q 0 and hi = q 11 in
   let pois = pois_near ~seed:21 ~k:2 db in
   let d = q 15 and window = q 3 in
-  let cont = AggX.Cont.create ~cell:16.0 ~db ~pois ~d ~window ~lo ~hi () in
+  let cont = AggX.Cont.create ~db ~pois ~d ~window ~lo ~hi () in
   List.iter (AggX.Cont.apply_update_exn cont) rest;
   let inc_rows = AggX.Cont.finalize cont in
   let final_db = DB.apply_all_exn db rest in
@@ -121,7 +121,7 @@ let test_cont_prunes () =
   let db = Gen.clustered_db ~seed:4 ~n:200 ~clusters:8 ~spacing:100_000 () in
   let pois = [ Qvec.of_list [ q 0; q 0 ] ] in
   let cont =
-    AggX.Cont.create ~cell:512.0 ~db ~pois ~d:(q 300) ~window:(q 10)
+    AggX.Cont.create ~db ~pois ~d:(q 300) ~window:(q 10)
       ~lo:(q 0) ~hi:(q 20) ()
   in
   let st = AggX.Cont.stats cont in
@@ -138,6 +138,158 @@ let test_cont_prunes () =
   if not (AggX.equal_rows inc_rows scan_rows) then
     Alcotest.failf "pruned rows diverge@.incremental:@.%s@.rescan:@.%s"
       (pp_rows inc_rows) (pp_rows scan_rows)
+
+(* ---- corner cases, each against rescan ---- *)
+
+let v x y = Qvec.of_list [ x; y ]
+let origin = [ v (q 0) (q 0) ]
+
+(* Feed [updates] one at a time, draining after each; the drained stream
+   must be the finalized rows, and those rows must equal rescan's. *)
+let rows_vs_rescan ~what ~db ~pois ~d ~window ~lo ~hi updates =
+  let cont = AggX.Cont.create ~db ~pois ~d ~window ~lo ~hi () in
+  let drained = ref (AggX.Cont.drain_rows cont) in
+  List.iter
+    (fun u ->
+      AggX.Cont.apply_update_exn cont u;
+      drained := !drained @ AggX.Cont.drain_rows cont)
+    updates;
+  let rows = AggX.Cont.finalize cont in
+  drained := !drained @ AggX.Cont.drain_rows cont;
+  let scan = AggX.rescan ~db:(DB.apply_all_exn db updates) ~pois ~d ~window ~lo ~hi () in
+  if not (AggX.equal_rows rows scan) then
+    Alcotest.failf "%s: rows diverge@.incremental:@.%s@.rescan:@.%s" what (pp_rows rows)
+      (pp_rows scan);
+  let by_poi_window (a : Moq_agg.Agg.row) (b : Moq_agg.Agg.row) =
+    compare (a.r_poi, a.r_widx) (b.r_poi, b.r_widx)
+  in
+  if not (AggX.equal_rows (List.stable_sort by_poi_window !drained) rows) then
+    Alcotest.failf "%s: drained rows are not the finalized rows@.%s" what (pp_rows !drained);
+  (cont, rows)
+
+let db_of objs =
+  List.fold_left
+    (fun db (o, tr) -> DB.add_initial db o tr)
+    (DB.empty ~dim:2 ~tau:Q.zero) objs
+
+let row_at rows ~poi ~widx =
+  List.find (fun (r : Moq_agg.Agg.row) -> r.r_poi = poi && r.r_widx = widx) rows
+
+let test_cont_tangency () =
+  (* along y = 5 past the origin: exactly at distance 5 at t = 7 only *)
+  let db = db_of [ (1, T.linear ~start:(q 0) ~a:(v (q 1) (q 0)) ~b:(v (q (-7)) (q 5))) ] in
+  let _, rows =
+    rows_vs_rescan ~what:"tangency" ~db ~pois:origin ~d:(q 5) ~window:(q 10) ~lo:(q 0)
+      ~hi:(q 20) []
+  in
+  let r = row_at rows ~poi:0 ~widx:0 in
+  Alcotest.(check int) "the touching object is a visitor" 1 r.r_distinct;
+  Alcotest.(check int) "nobody at the window end" 0 r.r_count;
+  Alcotest.(check (float 0.)) "an instant has no density" 0. r.r_density
+
+let test_cont_new_terminate_in_window () =
+  let db = db_of [ (1, T.stationary ~start:(q 0) (v (q 1) (q 1))) ] in
+  let updates =
+    [ U.New { oid = 2; tau = q 3; a = v (q 0) (q 0); b = v (q 2) (q 0) };
+      U.Terminate { oid = 1; tau = q 6 } ]
+  in
+  let _, rows =
+    rows_vs_rescan ~what:"new/terminate" ~db ~pois:origin ~d:(q 4) ~window:(q 10) ~lo:(q 0)
+      ~hi:(q 20) updates
+  in
+  let r = row_at rows ~poi:0 ~widx:0 in
+  Alcotest.(check int) "both visited" 2 r.r_distinct;
+  Alcotest.(check int) "one left at the end" 1 r.r_count;
+  Alcotest.(check (float 1e-12)) "6 + 7 object-units over 10" 1.3 r.r_density
+
+let test_cont_update_on_boundary () =
+  (* updates at exactly t = 5 and t = 10, the ends of windows 0 and 1: a
+     boundary row is final once the clock reaches it *)
+  let db =
+    db_of
+      [ (1, T.linear ~start:(q 0) ~a:(v (q 1) (q 0)) ~b:(v (q (-3)) (q 0)));
+        (2, T.stationary ~start:(q 0) (v (q 50) (q 0))) ]
+  in
+  let updates =
+    [ U.Chdir { oid = 1; tau = q 5; a = v (q (-1)) (q 0) };
+      U.New { oid = 3; tau = q 10; a = v (q 0) (q 0); b = v (q 0) (q 1) };
+      U.Terminate { oid = 1; tau = q 15 } ]
+  in
+  let cont = AggX.Cont.create ~db ~pois:origin ~d:(q 2) ~window:(q 5) ~lo:(q 0) ~hi:(q 15) () in
+  Alcotest.(check int) "nothing final at creation" 0 (List.length (AggX.Cont.drain_rows cont));
+  AggX.Cont.apply_update_exn cont (List.nth updates 0);
+  Alcotest.(check (list int)) "window 0 final at t = 5" [ 0 ]
+    (List.map (fun (r : Moq_agg.Agg.row) -> r.r_widx) (AggX.Cont.drain_rows cont));
+  let _, rows =
+    rows_vs_rescan ~what:"boundary updates" ~db ~pois:origin ~d:(q 2) ~window:(q 5) ~lo:(q 0)
+      ~hi:(q 15) updates
+  in
+  let r1 = row_at rows ~poi:0 ~widx:1 in
+  Alcotest.(check int) "a birth at the window end counts there" 1 r1.r_count
+
+let test_cont_reach_after_chdir () =
+  (* heading away from the POI until a chdir at t = 4 turns it back *)
+  let db = db_of [ (1, T.linear ~start:(q 0) ~a:(v (q 1) (q 0)) ~b:(v (q 10) (q 0))) ] in
+  let updates = [ U.Chdir { oid = 1; tau = q 4; a = v (q (-2)) (q 0) } ] in
+  let cont, rows =
+    rows_vs_rescan ~what:"reach after chdir" ~db ~pois:origin ~d:(q 3) ~window:(q 5) ~lo:(q 0)
+      ~hi:(q 20) updates
+  in
+  let st = AggX.Cont.stats cont in
+  Alcotest.(check (list int)) "pruned at creation, admitted by the chdir" [ 1; 1 ]
+    [ st.pruned; st.admitted ];
+  (* 14 - 2(t - 4) <= 3 from t = 9.5 to 12.5 *)
+  Alcotest.(check (list int)) "visits in windows 1 and 2 only" [ 0; 1; 1; 0 ]
+    (List.map (fun (r : Moq_agg.Agg.row) -> r.r_distinct) rows)
+
+let test_cont_unreached_poi () =
+  let db = Gen.uniform_db ~seed:9 ~n:10 ~extent:100 ~speed:5 () in
+  let stream =
+    Gen.mixed_stream ~seed:10 ~db ~start:(q 0) ~gap:(q 2) ~count:8 ~extent:100 ()
+  in
+  let pois = [ v (q 100_000) (q 100_000) ] in
+  let cont, rows =
+    rows_vs_rescan ~what:"unreached POI" ~db ~pois ~d:(q 10) ~window:(q 5) ~lo:(q 0) ~hi:(q 20)
+      stream
+  in
+  List.iter
+    (fun (r : Moq_agg.Agg.row) ->
+      Alcotest.(check (list int)) "empty row" [ 0; 0 ] [ r.r_count; r.r_distinct ])
+    rows;
+  let st = AggX.Cont.stats cont in
+  Alcotest.(check (list int)) "nothing admitted or forwarded" [ 0; 0 ] [ st.admitted; st.forwarded ]
+
+let test_cont_exact_vs_filtered () =
+  let module AggF = Moq_agg.Agg.Make (BFl) in
+  let samples =
+    List.map
+      (fun (oid, t, pos) -> { Ingest.oid; t; pos })
+      (Gen.trace_like ~seed:33 ~n:6 ~steps:10 ~extent:60 ~speed:4 ())
+  in
+  let stream = Ingest.segment samples in
+  let db = DB.empty ~dim:2 ~tau:(q (-1)) in
+  let pois = [ v (q 0) (q 0); v (q 20) (q (-15)); v (q (-30)) (q 10) ] in
+  let d = q 25 and window = q 3 and lo = q 0 and hi = q 9 in
+  let run create apply finalize =
+    let c = create () in
+    List.iter (apply c) stream;
+    finalize c
+  in
+  let rx =
+    run (fun () -> AggX.Cont.create ~db ~pois ~d ~window ~lo ~hi ()) AggX.Cont.apply_update_exn
+      AggX.Cont.finalize
+  in
+  let rf =
+    run (fun () -> AggF.Cont.create ~db ~pois ~d ~window ~lo ~hi ()) AggF.Cont.apply_update_exn
+      AggF.Cont.finalize
+  in
+  if not (AggX.equal_rows rx rf) then
+    Alcotest.failf "exact and filtered rows differ@.exact:@.%s@.filtered:@.%s" (pp_rows rx)
+      (pp_rows rf);
+  let scan = AggX.rescan ~db:(DB.apply_all_exn db stream) ~pois ~d ~window ~lo ~hi () in
+  if not (AggX.equal_rows rx scan) then Alcotest.fail "ingested trace rows differ from rescan";
+  if List.for_all (fun (r : Moq_agg.Agg.row) -> r.r_distinct = 0) rx then
+    Alcotest.fail "the trace never reaches a POI"
 
 (* ---- alibi ---- *)
 
@@ -256,6 +408,14 @@ let () =
           Alcotest.test_case "no updates" `Quick test_cont_no_updates;
           Alcotest.test_case "ingested trace" `Quick test_cont_ingested_trace;
           Alcotest.test_case "grid pruning" `Quick test_cont_prunes;
+          Alcotest.test_case "tangency" `Quick test_cont_tangency;
+          Alcotest.test_case "new and terminate in a window" `Quick
+            test_cont_new_terminate_in_window;
+          Alcotest.test_case "updates on window boundaries" `Quick test_cont_update_on_boundary;
+          Alcotest.test_case "reach after a chdir" `Quick test_cont_reach_after_chdir;
+          Alcotest.test_case "unreached POI" `Quick test_cont_unreached_poi;
+          Alcotest.test_case "exact = filtered on an ingested trace" `Quick
+            test_cont_exact_vs_filtered;
         ] );
       ( "alibi",
         [

@@ -408,6 +408,41 @@ let test_store_ingest_faulty_stream () =
       | Error e -> Alcotest.failf "recover failed: %s" e)
     seeds
 
+(* [Store.ingest] hands back every update it appends, quarantine graduates
+   included, so a monitor fed those follows the log ([moq stats] does). *)
+let test_store_ingest_returns_appends () =
+  let db, us = workload 11 in
+  let o = 1 + List.fold_left max 0 (DB.oids db) in
+  let chdir = U.Chdir { oid = o; tau = q 5; a = Qvec.of_list [ q 1; q 0 ] } in
+  let birth = U.New { oid = o; tau = q 3; a = Qvec.zero 2; b = Qvec.zero 2 } in
+  let store = Store.init ~fsync:false ~dir:(tmp_dir ()) db in
+  let san = Sanitize.create () in
+  let v1, a1 = Store.ingest store san chdir in
+  (match v1 with
+   | Sanitize.Quarantined _ -> ()
+   | _ -> Alcotest.fail "a chdir before its object's new is quarantined");
+  check_updates_equal "nothing appended yet" [] a1;
+  let _, a2 = Store.ingest store san birth in
+  check_updates_equal "the new, then its graduate" [ birth; chdir ] a2;
+  Store.close store;
+  List.iter
+    (fun seed ->
+      let db, us = if seed = 11 then (db, us) else workload seed in
+      let dirty = Faults.mangle (Faults.create ~seed:(seed + 100)) us in
+      let store = Store.init ~fsync:false ~checkpoint_every:6 ~dir:(tmp_dir ()) db in
+      let san = Sanitize.create () in
+      let query = Fof.nearest_q ~interval:(Fof.Interval.closed (q 0) (q 60)) in
+      let gdist = Gdist.euclidean_sq ~gamma:(T.stationary ~start:(q 0) (Qvec.zero 2)) in
+      let m = MonX.create ~db ~gdist ~query () in
+      List.iter
+        (fun u -> List.iter (MonX.apply_update_exn m) (snd (Store.ingest store san u)))
+        dirty;
+      Alcotest.(check string)
+        (Printf.sprintf "seed %d: the monitor's MOD is the store's" seed)
+        (db_str (Store.db store)) (db_str (MonX.db m));
+      Store.close store)
+    seeds
+
 (* ------------------------------------------------------------------ *)
 (* Engine audit + self-healing rebuild                                 *)
 (* ------------------------------------------------------------------ *)
@@ -507,6 +542,8 @@ let () =
        [ Alcotest.test_case "fault storm" `Quick test_sanitizer_fault_storm;
          Alcotest.test_case "faulty stream through the store" `Quick
            test_store_ingest_faulty_stream;
+         Alcotest.test_case "ingest returns every append" `Quick
+           test_store_ingest_returns_appends;
        ]);
       ("audit",
        [ Alcotest.test_case "clean engine" `Quick test_audit_clean;
