@@ -345,9 +345,11 @@ module Make (B : Moq_core.Backend.S) = struct
           | U.Terminate _, _ | _, None -> None
           | _ when Q.compare tau t.hi > 0 -> None
           | U.New { a; b; _ }, Some _ -> Some (T.linear ~start:tau ~a ~b)
-          | U.Chdir { a; _ }, Some tr ->
-            let b = Qvec.sub (T.position_exn tr tau) (Qvec.scale tau a) in
-            Some (T.linear ~start:tau ~a ~b)
+          | U.Chdir _, Some tr ->
+            (* the piece [DB.apply] just appended at [tau]; recomputing
+               its [b] from the old trajectory cost as much again *)
+            let pc = List.hd (List.rev (T.pieces tr)) in
+            Some (T.linear ~start:tau ~a:pc.T.a ~b:pc.T.b)
         in
         let from_ = Q.max tau t.lo in
         let next = Option.map (fun tr -> (tr, boxes t tr ~from_)) next in

@@ -5,9 +5,10 @@
    The split is canonical — an int-fitting value is ALWAYS [Small] — so
    structural equality and [Hashtbl.hash] coincide with value equality
    (rationals built from these appear as hash-table keys downstream).
-   Division is Knuth's Algorithm D; everything else is schoolbook.  The
-   sweep workloads are overwhelmingly single-limb, so the [Small]/[Small]
-   branches below are the exact backend's real inner loop. *)
+   Division is Knuth's Algorithm D, gcd is Lehmer's; everything else is
+   schoolbook.  The sweep workloads are overwhelmingly single-limb, so the
+   [Small]/[Small] branches below are the exact backend's real inner
+   loop. *)
 
 let base_bits = 30
 let base = 1 lsl base_bits (* 2^30 *)
@@ -428,13 +429,62 @@ let rem a b = snd (divmod a b)
 
 (* a, b >= 0. *)
 let rec gcd_int a b = if b = 0 then a else gcd_int b (a mod b)
-let rec gcd_aux a b = if is_zero b then a else gcd_aux b (rem a b)
+
+(* Leading bits a Lehmer round works on.  Knuth's bound keeps every
+   quantity of the single-precision loop within 2^(lehmer_bits + 1), and
+   q·C within 2^(lehmer_bits + 2) < 2^62: no native overflow. *)
+let lehmer_bits = 58
+let lehmer_mask = (1 lsl lehmer_bits) - 1
+
+(* Bits [s, s + lehmer_bits) of a magnitude.  Three limbs cover them
+   whatever the offset; overflowing high bits fall to the mask. *)
+let bits_from mag s =
+  let la = Array.length mag in
+  let i = s / base_bits and off = s mod base_bits in
+  let limb k = if k < la then mag.(k) else 0 in
+  ((limb i lsr off)
+   lor (limb (i + 1) lsl (base_bits - off))
+   lor (limb (i + 2) lsl ((2 * base_bits) - off)))
+  land lehmer_mask
+
+(* Lehmer's gcd (Knuth, TAOCP vol. 2, 4.5.2, Algorithm L) for u >= v >= 0.
+   Euclid's remainder sequence gains about 1.7 bits per long division;
+   rationals of a few hundred bits (exact positions on long chains of
+   direction changes) made that loop the bulk of whole update steps.  A
+   round runs Euclid on the leading [lehmer_bits] bits in native ints for
+   as long as the quotients it predicts are certain, then applies the
+   accumulated cofactors to the full values in one pass; a round that
+   predicts nothing falls back to one long division. *)
+let rec gcd_lehmer u v =
+  match u, v with
+  | _, Small 0 -> u
+  | Small x, Small y -> Small (gcd_int x y)
+  | _, Small _ -> gcd_lehmer v (rem u v)
+  | Big bu, Big bv ->
+    let s = num_bits u - lehmer_bits in
+    let rec sim uh vh a b c d =
+      if vh + c = 0 || vh + d = 0 then (a, b, c, d)
+      else begin
+        let q = (uh + a) / (vh + c) in
+        if q <> (uh + b) / (vh + d) then (a, b, c, d)
+        else sim vh (uh - (q * vh)) c d (a - (q * c)) (b - (q * d))
+      end
+    in
+    let a, b, c, d = sim (bits_from bu.mag s) (bits_from bv.mag s) 1 0 0 1 in
+    if b = 0 then gcd_lehmer v (rem u v)
+    else
+      gcd_lehmer
+        (add (mul (Small a) u) (mul (Small b) v))
+        (add (mul (Small c) u) (mul (Small d) v))
+  | Small _, Big _ -> gcd_lehmer v u
 
 let gcd a b =
   match a, b with
   | Small x, Small y when x <> min_int && y <> min_int ->
     Small (gcd_int (Stdlib.abs x) (Stdlib.abs y))
-  | _ -> gcd_aux (abs a) (abs b)
+  | _ ->
+    let a = abs a and b = abs b in
+    if compare a b >= 0 then gcd_lehmer a b else gcd_lehmer b a
 
 let pow x k =
   if k < 0 then invalid_arg "Bigint.pow"

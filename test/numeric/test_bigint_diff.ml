@@ -456,12 +456,57 @@ let test_to_float_exact () =
     (-.Float.ldexp 1.0 100)
     (B.to_float (B.neg (B.shift_left B.one 100)))
 
+(* gcd on operands of hundreds to thousands of bits, where [B.gcd] runs
+   Lehmer rounds: shared factors, one operand a multiple of the other,
+   equal operands, 2^k against 2^j - 1, and consecutive Fibonacci numbers
+   (every Euclid quotient is 1, the longest Lehmer simulations). *)
+let test_gcd_wide () =
+  let st = Random.State.make [| 17 |] in
+  let wide bits =
+    let rec go k (b, r) =
+      if k <= 0 then (b, r)
+      else begin
+        let c = Random.State.bits st in
+        go (k - 30)
+          (B.add (B.shift_left b 30) (B.of_int c), Ref.add (Ref.shift_left r 30) (Ref.of_int c))
+      end
+    in
+    go bits (B.one, Ref.of_int 1)
+  in
+  let check ctx (a, ra) (b, rb) =
+    check_same ctx (B.gcd a b) (Ref.gcd ra rb);
+    check_same (ctx ^ " (neg)") (B.gcd (B.neg b) a) (Ref.gcd (Ref.neg rb) ra)
+  in
+  let mul2 (a, ra) (b, rb) = (B.mul a b, Ref.mul ra rb) in
+  for i = 1 to 300 do
+    let w () = wide (30 + Random.State.int st (if i mod 10 = 0 then 3000 else 600)) in
+    let a = w () and b = w () and g = w () in
+    check "random" a b;
+    check "shared factor" (mul2 g a) (mul2 g b);
+    check "multiple" (mul2 a b) b;
+    check "equal" a a
+  done;
+  for k = 60 to 200 do
+    let p2 = (B.shift_left B.one k, Ref.shift_left (Ref.of_int 1) k) in
+    let j = k - 1 - (k mod 7) in
+    let m = (B.sub (B.shift_left B.one j) B.one, Ref.sub (Ref.shift_left (Ref.of_int 1) j) (Ref.of_int 1)) in
+    check "2^k, 2^j - 1" p2 m
+  done;
+  let rec fib n (a, ra) (b, rb) =
+    if n > 0 then begin
+      if n mod 97 = 0 then check "fibonacci" (b, rb) (a, ra);
+      fib (n - 1) (b, rb) (B.add a b, Ref.add ra rb)
+    end
+  in
+  fib 3000 (B.zero, Ref.zero) (B.one, Ref.of_int 1)
+
 let () =
   Alcotest.run "bigint-differential"
     [ ( "vs-schoolbook",
         [ Alcotest.test_case "edge values" `Quick test_edges;
           Alcotest.test_case "carry chains" `Quick test_carry_chains;
           Alcotest.test_case "to_float rounding" `Quick test_to_float_exact;
+          Alcotest.test_case "gcd of wide operands" `Quick test_gcd_wide;
         ] );
       ("vs-schoolbook-props", diff_props);
     ]
